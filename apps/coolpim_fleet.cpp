@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
   cfg.trace_path = opt.arrival_trace;
   cfg.jobs = opt.rc.jobs;
   cfg.counter_mark_every = opt.mark_every;
-  cfg.profiles = opt.synthetic ? fleet::synthetic_profiles() : measured_profiles(opt);
   if (opt.rc.stack_layers > 0) {
     // Grid fidelity: every node is one lane of a batched 3-D stack solve
     // (docs/PERFORMANCE.md section 7).  16-high and taller uses the ADI
@@ -137,6 +136,7 @@ int main(int argc, char** argv) {
 
   fleet::FleetResult result;
   try {
+    cfg.profiles = opt.synthetic ? fleet::synthetic_profiles() : measured_profiles(opt);
     result = fleet::run_fleet(cfg);
   } catch (const ConfigError& e) {
     usage(e.what());

@@ -19,6 +19,9 @@
 //
 // Tracing is strictly read-only: summary/timeline/CSV output is byte-for-byte
 // identical with or without --trace/--counters, at any --jobs value.
+//
+// Exit codes: 0 success; 1 an output file cannot be written; 2 a bad flag or
+// a configuration the run rejects (ConfigError).
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -150,19 +153,7 @@ void print_timeline(const sys::RunResult& r) {
   t.print(std::cout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Shared knobs first: --scale/--jobs/--trace/... are stripped from argv
-  // before the app-specific parse sees the remainder.
-  sys::RunConfig rc;
-  try {
-    rc = sys::RunConfig::resolve(&argc, argv);
-  } catch (const ConfigError& e) {
-    usage(e.what());
-  }
-  const CliOptions opt = parse(argc, argv, std::move(rc));
-
+int run(const CliOptions& opt) {
   // cc/tc need the extended registry.
   bool extended = false;
   for (const auto& w : opt.workloads) extended |= (w == "cc" || w == "tc");
@@ -250,4 +241,27 @@ int main(int argc, char** argv) {
     std::cout << "Counter CSV written to " << opt.rc.counters_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Shared knobs first: --scale/--jobs/--trace/... are stripped from argv
+  // before the app-specific parse sees the remainder.
+  sys::RunConfig rc;
+  try {
+    rc = sys::RunConfig::resolve(&argc, argv);
+  } catch (const ConfigError& e) {
+    usage(e.what());
+  }
+  const CliOptions opt = parse(argc, argv, std::move(rc));
+  // A configuration the run itself rejects -- a malformed --policy-table
+  // CSV, a run that exceeds max_time -- exits 2 like a bad flag, never
+  // through std::terminate.
+  try {
+    return run(opt);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -15,17 +15,29 @@
 //  - csr: graph::make_ldbc_like alone, serial vs. pooled counting-sort
 //    build.
 //
+//  - hit_model: gpu::CacheHitModel's exact L2 replay against the same Rng
+//    stream through a tick-stamped gpu::Cache, at the scale-14 (128 KiB,
+//    resident) and scale-18 (2 MiB, evicting) property footprints.  Gated
+//    in-process: the hit rates must match bit for bit, the resident regime
+//    must be >= 20x faster and the evicting regime no slower.
+//
 // Flags: --out FILE (default BENCH_graph.json), --quick (CI smoke: small
 // scale), --scale N (override), --jobs N (parallel width, default
 // COOLPIM_JOBS or all cores).
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "gpu/cache.hpp"
+#include "gpu/characterize.hpp"
 #include "graph/generator.hpp"
 #include "runner/pool.hpp"
 #include "sys/workloads.hpp"
@@ -62,6 +74,57 @@ bool profiles_equal(const std::vector<graph::WorkloadProfile>& a,
     }
   }
   return true;
+}
+
+/// SystemRun's sample count per hit-rate replay.
+constexpr std::uint64_t kHitSamples = 1 << 20;
+
+/// gpu::Cache replay of the stream CacheHitModel draws: the reference it
+/// must equal bit for bit.
+double cache_replay_hit_rate(const gpu::GpuConfig& cfg, std::uint64_t property_bytes,
+                             std::uint64_t seed) {
+  gpu::Cache l2{cfg.l2_bytes, cfg.l2_ways, cfg.line_bytes};
+  Rng rng{seed};
+  const std::uint64_t warm = cfg.l2_bytes / cfg.line_bytes * 4;
+  for (std::uint64_t i = 0; i < warm; ++i) l2.access(rng.next_below(property_bytes));
+  l2.reset_stats();
+  for (std::uint64_t i = 0; i < kHitSamples; ++i) l2.access(rng.next_below(property_bytes));
+  return l2.hit_rate();
+}
+
+struct HitModelCase {
+  std::string regime;
+  std::uint64_t footprint_bytes{0};
+  double min_speedup{0.0};
+  double fast_ms{0.0};
+  double cache_ms{0.0};
+  double hit_rate{0.0};
+  bool bit_identical{true};
+  [[nodiscard]] double speedup() const { return fast_ms > 0.0 ? cache_ms / fast_ms : 0.0; }
+  [[nodiscard]] bool pass() const { return bit_identical && speedup() >= min_speedup; }
+};
+
+/// Best-of-`reps` wall time of both replays at one footprint; every
+/// repetition's hit rates must agree.
+HitModelCase time_hit_model(std::string regime, std::uint64_t footprint_bytes,
+                            double min_speedup, int reps) {
+  const gpu::GpuConfig cfg;
+  HitModelCase c{std::move(regime), footprint_bytes, min_speedup};
+  for (int r = 0; r < reps; ++r) {
+    const std::uint64_t seed = 7 + static_cast<std::uint64_t>(r);
+    bench::StopWatch clock;
+    const double fast =
+        gpu::CacheHitModel{cfg, footprint_bytes, kHitSamples, seed}.random_hit_rate();
+    const double fast_ms = clock.elapsed_ms();
+    clock.restart();
+    const double ref = cache_replay_hit_rate(cfg, footprint_bytes, seed);
+    const double cache_ms = clock.elapsed_ms();
+    c.fast_ms = r == 0 ? fast_ms : std::min(c.fast_ms, fast_ms);
+    c.cache_ms = r == 0 ? cache_ms : std::min(c.cache_ms, cache_ms);
+    if (r == 0) c.hit_rate = fast;
+    c.bit_identical = c.bit_identical && fast == ref;
+  }
+  return c;
 }
 
 }  // namespace
@@ -126,8 +189,18 @@ int main(int argc, char** argv) {
   const bool csr_match = g_serial.row_ptr() == g_parallel.row_ptr() &&
                          g_serial.col_idx() == g_parallel.col_idx();
 
+  // --- hit_model: exact L2 replay vs. gpu::Cache, both regimes ------------
+  const int hit_reps = quick ? 3 : 5;
+  // 8 B per vertex: 128 KiB fits the 1 MiB L2, 2 MiB does not.
+  const HitModelCase hit_cases[] = {
+      time_hit_model("resident", (std::uint64_t{1} << 14) * 8, 20.0, hit_reps),
+      time_hit_model("evicting", (std::uint64_t{1} << 18) * 8, 1.0, hit_reps),
+  };
+  const bool hit_gate = std::all_of(std::begin(hit_cases), std::end(hit_cases),
+                                    [](const HitModelCase& c) { return c.pass(); });
+
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-graph/1");
+  json.kv("schema", "coolpim-bench-graph/2");
   json.kv("quick", quick);
   json.kv("scale", static_cast<std::uint64_t>(scale));
   json.kv("jobs", static_cast<std::uint64_t>(jobs));
@@ -157,6 +230,20 @@ int main(int argc, char** argv) {
   json.kv("speedup", csr_parallel_ms > 0.0 ? csr_serial_ms / csr_parallel_ms : 0.0);
   json.kv("bit_identical", csr_match);
   json.end();
+  json.begin_object("hit_model");
+  json.kv("sample_accesses", kHitSamples);
+  json.kv("repetitions", hit_reps);
+  for (const auto& c : hit_cases) {
+    json.kv(c.regime + "_footprint_bytes", c.footprint_bytes);
+    json.kv(c.regime + "_fast_ms", c.fast_ms);
+    json.kv(c.regime + "_cache_ms", c.cache_ms);
+    json.kv(c.regime + "_speedup", c.speedup());
+    json.kv(c.regime + "_hit_rate", c.hit_rate);
+    json.kv(c.regime + "_bit_identical", c.bit_identical);
+    json.kv(c.regime + "_min_speedup", c.min_speedup);
+  }
+  json.kv("gate_pass", hit_gate);
+  json.end();
   const std::string doc = json.str();
 
   if (!bench::write_text_file(out, doc)) {
@@ -171,8 +258,14 @@ int main(int argc, char** argv) {
             << "Cache: cold " << cold_ms << " ms, warm " << warm_ms << " ms (all hits: "
             << (warm_all_hits ? "yes" : "NO") << ")\n"
             << "CSR build: serial " << csr_serial_ms << " ms, parallel " << csr_parallel_ms
-            << " ms (bit-identical: " << (csr_match ? "yes" : "NO") << ")\n"
-            << "Results written to " << out << "\n";
+            << " ms (bit-identical: " << (csr_match ? "yes" : "NO") << ")\n";
+  for (const auto& c : hit_cases) {
+    std::cout << "L2 hit model, " << c.regime << " (" << c.footprint_bytes / 1024
+              << " KiB): " << c.fast_ms << " ms vs gpu::Cache " << c.cache_ms << " ms ("
+              << c.speedup() << "x, gate >= " << c.min_speedup
+              << "x, bit-identical: " << (c.bit_identical ? "yes" : "NO") << ")\n";
+  }
+  std::cout << "Results written to " << out << "\n";
   // The equivalence checks are the whole point; fail loudly if they break.
-  return (match && warm_all_hits && csr_match) ? 0 : 1;
+  return (match && warm_all_hits && csr_match && hit_gate) ? 0 : 1;
 }

@@ -2,14 +2,19 @@
 
 namespace coolpim::gpu {
 
-Cache::Cache(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes)
-    : sets_{0}, ways_{ways}, line_{line_bytes} {
+std::size_t Cache::sets_for(std::size_t capacity_bytes, std::size_t ways,
+                            std::size_t line_bytes) {
   COOLPIM_REQUIRE(ways > 0 && line_bytes > 0, "cache geometry must be positive");
   COOLPIM_REQUIRE(capacity_bytes % (ways * line_bytes) == 0,
                   "capacity must be a whole number of sets");
-  sets_ = capacity_bytes / (ways * line_bytes);
-  COOLPIM_REQUIRE(sets_ > 0, "cache must hold at least one set");
-  COOLPIM_REQUIRE((sets_ & (sets_ - 1)) == 0, "set count must be a power of two");
+  const std::size_t sets = capacity_bytes / (ways * line_bytes);
+  COOLPIM_REQUIRE(sets > 0, "cache must hold at least one set");
+  COOLPIM_REQUIRE((sets & (sets - 1)) == 0, "set count must be a power of two");
+  return sets;
+}
+
+Cache::Cache(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes)
+    : sets_{sets_for(capacity_bytes, ways, line_bytes)}, ways_{ways}, line_{line_bytes} {
   lines_.assign(sets_ * ways_, Line{});
 }
 

@@ -18,6 +18,11 @@ class Cache {
  public:
   Cache(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes);
 
+  /// Set count of a capacity/ways/line geometry; throws ConfigError unless
+  /// the capacity is a whole, power-of-two number of sets.
+  [[nodiscard]] static std::size_t sets_for(std::size_t capacity_bytes, std::size_t ways,
+                                            std::size_t line_bytes);
+
   /// Access a byte address; returns true on hit.  Allocate-on-miss.
   bool access(std::uint64_t address);
 

@@ -11,18 +11,32 @@
 
 #include <cstdint>
 
-#include "gpu/cache.hpp"
 #include "gpu/config.hpp"
 #include "graph/profile.hpp"
 
 namespace coolpim::gpu {
 
 /// Measured cache behaviour for a given property-array footprint.
+///
+/// The replay is exact: it draws the same Rng{seed} addresses a gpu::Cache
+/// of the configured L2 geometry would see (4x capacity-in-lines warm-up
+/// draws, then `sample_accesses` measured ones) and counts the same hits and
+/// misses, so random_hit_rate() equals the gpu::Cache replay bit for bit.
+/// Two regimes, chosen by footprint (docs/PERFORMANCE.md, "L2 hit-rate
+/// replay"):
+///  - resident, ceil(property_bytes / line) <= sets x ways: no set ever
+///    holds more than `ways` distinct lines, so nothing is evicted and an
+///    access misses only on the first touch of its line.  A touched-line
+///    bitmap counts first touches and stops drawing once every line is in;
+///  - evicting: per-set tags packed most-recent first, searched linearly
+///    and shifted on each touch -- true LRU, the same hit/miss sequence as
+///    gpu::Cache's tick-stamped lines.
 class CacheHitModel {
  public:
   /// `property_bytes`: total footprint of the randomly-accessed property
   /// arrays.  The hit rate is measured by replaying `sample_accesses`
-  /// uniform-random accesses through the configured L2.
+  /// uniform-random accesses through the configured L2 (0 accesses gives
+  /// 0.0).  Throws ConfigError on a zero footprint or an invalid geometry.
   CacheHitModel(const GpuConfig& cfg, std::uint64_t property_bytes,
                 std::uint64_t sample_accesses = 1 << 20, std::uint64_t seed = 7);
 

@@ -1,7 +1,10 @@
 #include "sys/run_config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -21,12 +24,24 @@ double parse_double(std::string_view name, const char* text) {
   return v;
 }
 
-std::uint64_t parse_u64(std::string_view name, const char* text) {
+/// Decimal integer in [0, max].  strtoull alone would accept a sign (and
+/// wrap "-1" to 2^64-1) and saturate on overflow, so both are rejected here,
+/// as is any value the target field cannot hold.
+std::uint64_t parse_u64(std::string_view name, const char* text,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  COOLPIM_REQUIRE(end != text && *end == '\0',
+  COOLPIM_REQUIRE(*text >= '0' && *text <= '9' && *end == '\0',
                   std::string{name} + ": expected a non-negative integer, got '" + text + "'");
+  COOLPIM_REQUIRE(errno != ERANGE && v <= max, std::string{name} + ": '" + text +
+                                                   "' is out of range (at most " +
+                                                   std::to_string(max) + ")");
   return v;
+}
+
+unsigned parse_unsigned(std::string_view name, const char* text) {
+  return static_cast<unsigned>(parse_u64(name, text, std::numeric_limits<unsigned>::max()));
 }
 
 bool parse_bool(std::string_view name, const char* text) {
@@ -47,11 +62,11 @@ struct Knob {
 const Knob kKnobs[] = {
     {"COOLPIM_JOBS", "--jobs",
      [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.jobs = static_cast<unsigned>(parse_u64(n, v));
+       rc.jobs = parse_unsigned(n, v);
      }},
     {"COOLPIM_SCALE", "--scale",
      [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.scale = static_cast<unsigned>(parse_u64(n, v));
+       rc.scale = parse_unsigned(n, v);
      }},
     {"COOLPIM_GRAPH_SEED", "--graph-seed",
      [](RunConfig& rc, std::string_view n, const char* v) {
@@ -71,7 +86,7 @@ const Knob kKnobs[] = {
      [](RunConfig& rc, std::string_view, const char* v) { rc.hmc_backend = v; }},
     {"COOLPIM_FLEET_NODES", "--fleet-nodes",
      [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.fleet_nodes = static_cast<unsigned>(parse_u64(n, v));
+       rc.fleet_nodes = parse_unsigned(n, v);
      }},
     {"COOLPIM_ARRIVAL_RATE", "--arrival-rate",
      [](RunConfig& rc, std::string_view n, const char* v) {
@@ -81,15 +96,15 @@ const Knob kKnobs[] = {
      [](RunConfig& rc, std::string_view, const char* v) { rc.balancer = v; }},
     {"COOLPIM_THERMAL_BATCH", "--thermal-batch",
      [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.thermal_batch = static_cast<unsigned>(parse_u64(n, v));
+       rc.thermal_batch = parse_unsigned(n, v);
      }},
     {"COOLPIM_SWEEP_BATCH", "--sweep-batch",
      [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.sweep_batch = static_cast<unsigned>(parse_u64(n, v));
+       rc.sweep_batch = parse_unsigned(n, v);
      }},
     {"COOLPIM_STACK_LAYERS", "--stack-layers",
      [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.stack_layers = static_cast<unsigned>(parse_u64(n, v));
+       rc.stack_layers = parse_unsigned(n, v);
      }},
     {"COOLPIM_FAULT_DROP", "--fault-drop",
      [](RunConfig& rc, std::string_view n, const char* v) {
@@ -136,6 +151,7 @@ const Knob kKnobs[] = {
 }  // namespace
 
 void RunConfig::validate() const {
+  COOLPIM_REQUIRE(jobs <= kMaxJobs, "jobs must be in [0, " + std::to_string(kMaxJobs) + "]");
   COOLPIM_REQUIRE(scale >= 8 && scale <= 24, "scale must be in [8, 24]");
   COOLPIM_REQUIRE(fleet_nodes >= 1 && fleet_nodes <= 4096,
                   "fleet-nodes must be in [1, 4096]");
@@ -237,7 +253,9 @@ WorkloadSet::BuildOptions RunConfig::build_options() const {
 }
 
 std::string RunConfig::flags_help() {
-  return "  --jobs N             runner parallelism (0 = all cores)\n"
+  return "  --jobs N             runner parallelism (0 = all cores, at most " +
+         std::to_string(kMaxJobs) +
+         ")\n"
          "  --scale N            graph scale, 2^N vertices (8..24)\n"
          "  --graph-seed N       graph-generation seed\n"
          "  --trace FILE         write a Chrome trace of the run(s)\n"

@@ -28,7 +28,11 @@ namespace coolpim::sys {
 struct SystemConfig;
 
 struct RunConfig {
-  /// Runner parallelism; 0 = all hardware threads (COOLPIM_JOBS / --jobs).
+  /// Upper bound on `jobs`: one worker thread each, so a typo must not
+  /// spawn millions of threads.
+  static constexpr unsigned kMaxJobs = 1024;
+  /// Runner parallelism; 0 = all hardware threads (COOLPIM_JOBS / --jobs,
+  /// range [0, kMaxJobs]).
   unsigned jobs{0};
   /// Graph scale, 2^scale vertices (COOLPIM_SCALE / --scale, range [8, 24]).
   unsigned scale{18};

@@ -115,6 +115,64 @@ TEST(RunConfigTest, MalformedValuesThrow) {
   }
 }
 
+TEST(RunConfigTest, UnsignedKnobsRejectSignsOverflowAndNarrowing) {
+  // Unchecked, strtoull wraps "-1" to 2^64-1 and saturates 2^64, and the
+  // cast to the 32-bit field truncates 2^32 to 0.
+  const char* const bad[] = {"-1", "18446744073709551616", "4294967296", "+4", " 4", ""};
+  for (const char* v : bad) {
+    Args args{{"--jobs", v}};
+    try {
+      (void)RunConfig::from_args(&args.argc, args.argv.data());
+      ADD_FAILURE() << "--jobs '" << v << "' was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string{e.what()}.find("--jobs"), std::string::npos) << e.what();
+    }
+  }
+  for (const char* v : bad) {
+    if (*v == '\0') continue;  // an empty env var means unset
+    ScopedEnv jobs{"COOLPIM_JOBS", v};
+    try {
+      (void)RunConfig::from_env();
+      ADD_FAILURE() << "COOLPIM_JOBS='" << v << "' was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string{e.what()}.find("COOLPIM_JOBS"), std::string::npos) << e.what();
+    }
+  }
+  // Narrowing is checked per field: 2^32 fits the 64-bit graph seed but no
+  // 32-bit knob, 2^64 fits neither.
+  {
+    Args args{{"--graph-seed", "4294967296"}};
+    EXPECT_EQ(RunConfig::from_args(&args.argc, args.argv.data()).graph_seed, 4294967296ull);
+  }
+  for (const char* flag : {"--scale", "--fleet-nodes", "--thermal-batch", "--sweep-batch",
+                           "--stack-layers"}) {
+    Args args{{flag, "4294967296"}};
+    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError)
+        << flag;
+  }
+  {
+    Args args{{"--graph-seed", "18446744073709551616"}};
+    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
+  }
+  {
+    ScopedEnv scale{"COOLPIM_SCALE", "4294967312"};  // truncated, 2^32 + 16 would read as 16
+    EXPECT_THROW((void)RunConfig::from_env(), ConfigError);
+  }
+}
+
+TEST(RunConfigTest, JobsIsBounded) {
+  {
+    Args args{{"--jobs", "1024"}};
+    EXPECT_EQ(RunConfig::from_args(&args.argc, args.argv.data()).jobs, RunConfig::kMaxJobs);
+  }
+  {
+    Args args{{"--jobs", "1025"}};
+    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
+  }
+  ScopedEnv jobs{"COOLPIM_JOBS", "4000000000"};
+  EXPECT_THROW((void)RunConfig::from_env(), ConfigError);
+}
+
 TEST(RunConfigTest, ValidationRejectsOutOfRange) {
   {
     Args args{{"--scale", "30"}};

@@ -20,9 +20,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/observer.hpp"
@@ -66,13 +68,17 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") usage();
-    else if (arg == "--duration-ms") opt.duration_ms = std::atof(need_value(i).c_str());
-    else if (arg == "--rack-spread-c") opt.rack_spread_c = std::atof(need_value(i).c_str());
-    else if (arg == "--queue-cap") opt.queue_cap = static_cast<std::size_t>(std::atoll(need_value(i).c_str()));
+    else if (arg == "--duration-ms") opt.duration_ms = parse_double(arg, need_value(i).c_str());
+    else if (arg == "--rack-spread-c") opt.rack_spread_c = parse_double(arg, need_value(i).c_str());
+    else if (arg == "--queue-cap") opt.queue_cap = parse_u64(arg, need_value(i).c_str());
     else if (arg == "--synthetic") opt.synthetic = true;
     else if (arg == "--arrival-trace") opt.arrival_trace = need_value(i);
-    else if (arg == "--mark-every") opt.mark_every = static_cast<std::uint32_t>(std::atoi(need_value(i).c_str()));
-    else usage(("unknown option: " + arg).c_str());
+    else if (arg == "--mark-every") {
+      opt.mark_every = static_cast<std::uint32_t>(
+          parse_u64(arg, need_value(i).c_str(), std::numeric_limits<std::uint32_t>::max()));
+    } else {
+      usage(("unknown option: " + arg).c_str());
+    }
   }
   if (opt.duration_ms <= 0.0) usage("duration-ms must be positive");
   if (opt.queue_cap == 0) usage("queue-cap must be positive");
@@ -95,20 +101,19 @@ std::vector<fleet::ServiceProfile> measured_profiles(const CliOptions& opt) {
   }
   runner::RunOptions run_opt;
   run_opt.jobs = opt.rc.jobs;
-  run_opt.sweep_batch = opt.rc.sweep_batch;
   return fleet::profiles_from_runs(runner::run_sweep(set, experiments, run_opt), kIdleC);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  sys::RunConfig rc;
+  CliOptions opt;
   try {
-    rc = sys::RunConfig::resolve(&argc, argv);
+    sys::RunConfig rc = sys::RunConfig::resolve(&argc, argv);
+    opt = parse(argc, argv, std::move(rc));
   } catch (const ConfigError& e) {
     usage(e.what());
   }
-  const CliOptions opt = parse(argc, argv, std::move(rc));
 
   fleet::FleetConfig cfg;
   cfg.nodes = opt.rc.fleet_nodes;

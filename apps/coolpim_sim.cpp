@@ -26,6 +26,7 @@
 #include <cstring>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -33,6 +34,7 @@
 
 #include <fstream>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "obs/observer.hpp"
 #include "runner/experiment.hpp"
@@ -114,13 +116,14 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
       opt.scenarios = parse_scenarios(need_value(i));
     } else if (arg == "--seed") {
       // Historical alias for --graph-seed.
-      opt.rc.graph_seed = static_cast<std::uint64_t>(std::atoll(need_value(i).c_str()));
+      opt.rc.graph_seed = parse_u64("--seed", need_value(i).c_str());
     } else if (arg == "--cooling") {
       opt.cooling = parse_cooling(need_value(i));
     } else if (arg == "--cf") {
-      opt.control_factor = static_cast<std::uint32_t>(std::atoi(need_value(i).c_str()));
+      opt.control_factor = static_cast<std::uint32_t>(
+          parse_u64("--cf", need_value(i).c_str(), std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--target") {
-      opt.target = std::atof(need_value(i).c_str());
+      opt.target = parse_double("--target", need_value(i).c_str());
       if (opt.target <= 0.0) usage("target must be positive");
     } else if (arg == "--pei") {
       opt.pei = true;
@@ -188,7 +191,6 @@ int run(const CliOptions& opt) {
   }
   runner::RunOptions run_opt;
   run_opt.jobs = opt.rc.jobs;
-  run_opt.sweep_batch = opt.rc.sweep_batch;
   std::optional<obs::SweepObserver> observer;
   if (!opt.rc.trace_path.empty() || !opt.rc.counters_path.empty()) {
     observer.emplace(!opt.rc.trace_path.empty(), !opt.rc.counters_path.empty());
@@ -248,13 +250,13 @@ int run(const CliOptions& opt) {
 int main(int argc, char** argv) {
   // Shared knobs first: --scale/--jobs/--trace/... are stripped from argv
   // before the app-specific parse sees the remainder.
-  sys::RunConfig rc;
+  CliOptions opt;
   try {
-    rc = sys::RunConfig::resolve(&argc, argv);
+    sys::RunConfig rc = sys::RunConfig::resolve(&argc, argv);
+    opt = parse(argc, argv, std::move(rc));
   } catch (const ConfigError& e) {
     usage(e.what());
   }
-  const CliOptions opt = parse(argc, argv, std::move(rc));
   // A configuration the run itself rejects -- a malformed --policy-table
   // CSV, a run that exceeds max_time -- exits 2 like a bad flag, never
   // through std::terminate.

@@ -1,6 +1,6 @@
 // Perf harness for the simulation kernel, emitted as BENCH_sim.json.
 //
-// Three measurements:
+// Measurements:
 //
 //  - queue: raw event throughput through sim::Simulation / sim::EventQueue.
 //    A fan of self-rescheduling one-shot chains with co-prime periods keeps
@@ -23,15 +23,6 @@
 //    the reason epoch-throughput is the default -- stays visible in CI
 //    artifacts.  A kernel outside tolerance fails the binary (exit 1).
 //
-//  - sweep_batch (gated): the lock-step batched sweep executor
-//    (runner::run_lockstep, docs/PERFORMANCE.md section 8) on the
-//    fig-10-shaped scenario matrix.  Re-checks RunResult bit-identity
-//    against the scalar runner in-run, and gates the lane-batching factor:
-//    thermal-sweep wall-clock at batch 8 must be >= 2x better than
-//    lane-at-a-time (batch 1) execution of the same lock-step path.  A
-//    failed gate fails the binary (exit 1); --quick skips the speedup
-//    assertion (smoke machines are too noisy) but still enforces identity.
-//
 // Flags: --out FILE (default BENCH_sim.json), --quick (CI smoke: fewer
 // events, tiny graph scale), --scale N (graph scale override).
 #include <cmath>
@@ -43,8 +34,6 @@
 #include "hmc/backend.hpp"
 #include "pim/programs.hpp"
 #include "pim/xval.hpp"
-#include "runner/experiment.hpp"
-#include "runner/sweep_batch.hpp"
 #include "sim/simulation.hpp"
 #include "sys/system.hpp"
 
@@ -160,92 +149,6 @@ EndToEndResult measure_end_to_end(const sys::WorkloadSet& set, unsigned scale,
   return r;
 }
 
-struct SweepBatchResult {
-  std::size_t experiments;
-  double scalar_wall_ms;
-  double b1_wall_ms;
-  double b8_wall_ms;
-  runner::SweepBatchStats b1;
-  runner::SweepBatchStats b8;
-  double sweep_speedup;
-  bool bit_identical;
-  bool gate_pass;
-};
-
-/// Bit-for-bit RunResult comparison, timeseries included -- the executor's
-/// contract (tests/test_sweep_batch.cpp pins the same thing offline).
-bool results_identical(const sys::RunResult& a, const sys::RunResult& b) {
-  bool same = a.exec_time == b.exec_time && a.link_data_bytes == b.link_data_bytes &&
-              a.link_raw_bytes == b.link_raw_bytes &&
-              a.dram_internal_bytes == b.dram_internal_bytes && a.pim_ops == b.pim_ops &&
-              a.host_atomics == b.host_atomics && a.cube_energy_j == b.cube_energy_j &&
-              a.fan_energy_j == b.fan_energy_j &&
-              a.peak_dram_temp.value() == b.peak_dram_temp.value() &&
-              a.thermal_warnings == b.thermal_warnings && a.shut_down == b.shut_down &&
-              a.time_above_normal == b.time_above_normal;
-  for (const auto& [ta, tb] :
-       {std::pair{&a.pim_rate, &b.pim_rate}, std::pair{&a.dram_temp, &b.dram_temp},
-        std::pair{&a.link_bw, &b.link_bw}}) {
-    same = same && ta->times() == tb->times() && ta->values() == tb->values();
-  }
-  return same;
-}
-
-/// The lock-step batched sweep executor on the fig-10-shaped matrix
-/// (docs/PERFORMANCE.md section 8): scalar runner for the identity baseline,
-/// then run_lockstep at batch 1 and batch 8 (jobs = 1 so all timing is one
-/// thread's work).  The gated quantity is the thermal-sweep wall-clock --
-/// the portion the executor actually batches; end-to-end walls are reported
-/// alongside for context.
-SweepBatchResult measure_sweep_batch(const sys::WorkloadSet& set, std::size_t n_workloads,
-                                     bool quick) {
-  const auto& names = sys::workload_names();
-  const sys::Scenario scenarios[] = {sys::Scenario::kNonOffloading,
-                                     sys::Scenario::kNaiveOffloading,
-                                     sys::Scenario::kCoolPimSw,
-                                     sys::Scenario::kCoolPimHw,
-                                     sys::Scenario::kIdealThermal,
-                                     sys::Scenario::kBwThrottle};
-  std::vector<runner::SweepBatchTask> tasks;
-  for (std::size_t w = 0; w < names.size() && w < n_workloads; ++w) {
-    for (const auto scenario : scenarios) {
-      runner::SweepBatchTask t;
-      t.profile = &set.profile(names[w]);
-      t.config.scenario = scenario;
-      tasks.push_back(t);
-    }
-  }
-
-  SweepBatchResult r{};
-  r.experiments = tasks.size();
-
-  bench::StopWatch scalar_clock;
-  std::vector<sys::RunResult> scalar;
-  scalar.reserve(tasks.size());
-  for (const auto& t : tasks) {
-    sys::System system{t.config};
-    scalar.push_back(system.run(*t.profile));
-  }
-  r.scalar_wall_ms = scalar_clock.elapsed_ms();
-
-  bench::StopWatch b1_clock;
-  const auto lane_at_a_time = runner::run_lockstep(tasks, 1, 1, &r.b1);
-  r.b1_wall_ms = b1_clock.elapsed_ms();
-
-  bench::StopWatch b8_clock;
-  const auto batched = runner::run_lockstep(tasks, 8, 1, &r.b8);
-  r.b8_wall_ms = b8_clock.elapsed_ms();
-
-  r.bit_identical = true;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    r.bit_identical = r.bit_identical && results_identical(scalar[i], batched[i]) &&
-                      results_identical(scalar[i], lane_at_a_time[i]);
-  }
-  r.sweep_speedup = r.b1.sweep_wall_ms / r.b8.sweep_wall_ms;
-  r.gate_pass = r.bit_identical && (quick || r.sweep_speedup >= 2.0);
-  return r;
-}
-
 struct BackendXvalRow {
   std::string kernel;
   pim::XvalPoint point;
@@ -320,16 +223,10 @@ int main(int argc, char** argv) {
   const sys::WorkloadSet set{scale, 1};
   const double workload_build_ms = build_clock.elapsed_ms();
   const EndToEndResult e = measure_end_to_end(set, scale, n_workloads, workload_build_ms);
-  // The gate runs the full fig-10 matrix (every workload x 6 scenarios): the
-  // lane-batching factor needs enough concurrent work for the retire/refill
-  // tail to amortize.  Quick mode shrinks to one workload and skips the
-  // speedup assertion (identity still enforced).
-  const SweepBatchResult sb =
-      measure_sweep_batch(set, quick ? 1 : sys::workload_names().size(), quick);
   const BackendResult be = measure_backends(quick);
 
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-sim/3");
+  json.kv("schema", "coolpim-bench-sim/4");
   json.kv("quick", quick);
   json.begin_object("queue");
   json.kv("events", q.events);
@@ -358,20 +255,6 @@ int main(int argc, char** argv) {
     json.end();
   }
   json.end();
-  json.end();
-  json.begin_object("sweep_batch");
-  json.kv("experiments", static_cast<std::uint64_t>(sb.experiments));
-  json.kv("scalar_wall_ms", sb.scalar_wall_ms);
-  json.kv("b1_wall_ms", sb.b1_wall_ms);
-  json.kv("b8_wall_ms", sb.b8_wall_ms);
-  json.kv("b1_sweep_wall_ms", sb.b1.sweep_wall_ms);
-  json.kv("b8_sweep_wall_ms", sb.b8.sweep_wall_ms);
-  json.kv("b1_sweep_rounds", sb.b1.rounds);
-  json.kv("b8_sweep_rounds", sb.b8.rounds);
-  json.kv("epochs", sb.b8.epochs);
-  json.kv("sweep_speedup_b8_vs_b1", sb.sweep_speedup);
-  json.kv("bit_identical", sb.bit_identical);
-  json.kv("gate_pass", sb.gate_pass);
   json.end();
   json.begin_object("backend");
   json.kv("xval_epochs", static_cast<std::uint64_t>(be.xval_epochs));
@@ -404,23 +287,12 @@ int main(int argc, char** argv) {
             << "Periodic:  " << p.events_per_sec / 1e6 << " M events/s\n"
             << "End-to-end (scale " << e.scale << "): " << e.total_wall_ms << " ms over "
             << e.runs.size() << " runs\n"
-            << "Sweep batch: " << sb.experiments << " experiments, thermal sweep "
-            << sb.b1.sweep_wall_ms << " ms at batch 1 vs " << sb.b8.sweep_wall_ms
-            << " ms at batch 8 (" << sb.sweep_speedup
-            << "x, bit-identical=" << (sb.bit_identical ? "yes" : "NO")
-            << "); scalar/b8 total " << sb.scalar_wall_ms << "/" << sb.b8_wall_ms << " ms\n"
             << "Backend:   serve cost " << be.epoch_throughput_ns_per_epoch << " / "
             << be.event_detailed_ns_per_epoch << " / " << be.pim_vault_ns_per_epoch
             << " ns per epoch (epoch-throughput / event-detailed / pim-vault); xval "
             << (be.gate_pass ? "within" : "OUTSIDE") << " tolerance "
             << pim::kXvalTolerance << " on " << be.xval.size() << " kernels\n"
             << "Results written to " << out << "\n";
-  if (!sb.gate_pass) {
-    std::cerr << "perf_sim: sweep_batch gate FAILED (bit_identical="
-              << (sb.bit_identical ? "yes" : "no") << ", sweep speedup " << sb.sweep_speedup
-              << "x, need >= 2x at batch 8)\n";
-    return 1;
-  }
   if (!be.gate_pass) {
     for (const auto& row : be.xval) {
       if (!row.pass) {

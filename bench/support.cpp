@@ -115,7 +115,6 @@ const std::vector<ScenarioRow>& scenario_matrix() {
     const sys::SystemConfig cfg = with_process_faults({});
     runner::RunOptions opt;
     opt.jobs = run_config().jobs;
-    opt.sweep_batch = run_config().sweep_batch;
     auto& state = obs_state();
     if (state.obs) {
       opt.obs = &*state.obs;

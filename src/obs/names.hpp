@@ -61,12 +61,6 @@ inline constexpr std::string_view kThermalWarningCrossings = "thermal/warning_cr
 inline constexpr std::string_view kThermalBatchLanes = "thermal/batch_lanes";
 inline constexpr std::string_view kThermalBatchSweeps = "thermal/batch_sweep_passes";
 inline constexpr std::string_view kThermalBatchAdiSolves = "thermal/batch_adi_solves";
-// runner (batched sweep executor, runner/sweep_batch.hpp): tasks completed
-// through the lock-step path and thermal-step yields answered per task.  Both
-// record per-run-invariant values only, so the per-task counter files stay
-// byte-identical at any --jobs count.
-inline constexpr std::string_view kRunnerSweepBatchTasks = "runner/sweep_batch_tasks";
-inline constexpr std::string_view kRunnerSweepBatchEpochs = "runner/sweep_batch_epochs";
 // graph (workload profiling)
 inline constexpr std::string_view kGraphProfileCacheHits = "graph/profile_cache_hits";
 inline constexpr std::string_view kGraphProfileCacheMisses = "graph/profile_cache_misses";
@@ -107,7 +101,6 @@ inline constexpr std::string_view kThermalPeakLogicC = "thermal/peak_logic_c";
 inline constexpr std::string_view kSysPimRateGops = "sys/pim_rate_gops";
 inline constexpr std::string_view kSysLinkDataGbps = "sys/link_data_gbps";
 inline constexpr std::string_view kControlThrottleLevel = "control/throttle_level";
-inline constexpr std::string_view kRunnerSweepBatchLanes = "runner/sweep_batch_lanes";
 inline constexpr std::string_view kFleetP50LatencyMs = "fleet/p50_latency_ms";
 inline constexpr std::string_view kFleetP99LatencyMs = "fleet/p99_latency_ms";
 inline constexpr std::string_view kFleetMaxNodePeakC = "fleet/max_node_peak_c";
@@ -143,8 +136,6 @@ inline constexpr std::string_view kAllCounters[] = {
     kThermalBatchLanes,
     kThermalBatchSweeps,
     kThermalBatchAdiSolves,
-    kRunnerSweepBatchTasks,
-    kRunnerSweepBatchEpochs,
     kGraphProfileCacheHits,
     kGraphProfileCacheMisses,
     kGraphProfilesComputed,
@@ -175,7 +166,7 @@ inline constexpr std::string_view kAllCounters[] = {
 
 inline constexpr std::string_view kAllGauges[] = {
     kGpuPimFraction,    kThermalPeakDramC,  kThermalPeakLogicC, kSysPimRateGops,
-    kSysLinkDataGbps,   kControlThrottleLevel,  kRunnerSweepBatchLanes,
+    kSysLinkDataGbps,   kControlThrottleLevel,
     kFleetP50LatencyMs, kFleetP99LatencyMs, kFleetMaxNodePeakC, kFleetAggOpPerNs,
 };
 

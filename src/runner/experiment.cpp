@@ -7,9 +7,9 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "runner/pool.hpp"
-#include "runner/sweep_batch.hpp"
 
 namespace coolpim::runner {
 
@@ -94,24 +94,6 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-// Shared tail of the scalar and batched execution paths: stamp the record's
-// exec time and emit the top-level "runner" span over everything the task
-// recorded (warm-up included), tagged with the stable key and derived seed.
-void finish_task_record(obs::SweepObserver::TaskRecord* rec, const std::string& workload,
-                        const sys::RunResult& result, std::uint64_t key, std::uint64_t seed) {
-  rec->exec_time = result.exec_time;
-  Time span_end = result.exec_time;
-  for (const auto& ev : rec->obs.trace_buffer.events()) {
-    span_end = std::max(span_end, ev.ts + ev.dur);
-  }
-  rec->obs.trace_buffer.complete(Time::zero(), span_end, obs::names::kCatRunner, "task",
-                                 {{"workload", workload},
-                                  {"scenario", result.scenario},
-                                  {"key", hex64(key)},
-                                  {"seed", hex64(seed)},
-                                  {"cache_hit", rec->cache_hit}});
-}
-
 sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e, bool use_cache,
                         obs::SweepObserver::TaskRecord* rec = nullptr) {
   const std::uint64_t key = experiment_key(set, e.workload, e.config);
@@ -140,7 +122,22 @@ sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e, bool u
   }
   sys::System system{cfg};
   sys::RunResult result = system.run(set.profile(e.workload));
-  if (rec != nullptr) finish_task_record(rec, e.workload, result, key, cfg.run_seed);
+  if (rec != nullptr) {
+    rec->exec_time = result.exec_time;
+    // Top-level "runner" span over everything the task recorded (warm-up
+    // included), tagged with the stable key and the seed derived from it.
+    Time span_end = result.exec_time;
+    for (const auto& ev : rec->obs.trace_buffer.events()) {
+      span_end = std::max(span_end, ev.ts + ev.dur);
+    }
+    rec->obs.trace_buffer.complete(
+        Time::zero(), span_end, obs::names::kCatRunner, "task",
+        {{"workload", e.workload},
+         {"scenario", result.scenario},
+         {"key", hex64(key)},
+         {"seed", hex64(cfg.run_seed)},
+         {"cache_hit", rec->cache_hit}});
+  }
   if (use_cache) {
     auto& c = cache();
     std::lock_guard<std::mutex> lk{c.mu};
@@ -149,82 +146,6 @@ sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e, bool u
     c.entries.insert_or_assign(key, result);
   }
   return result;
-}
-
-// Batched dispatch of run_sweep (opt.sweep_batch > 1): the key/seed/cache/
-// observer protocol of run_task, run in submission order on the submitting
-// thread, with the actual simulations handed to the lock-step executor.
-// Unlike the scalar path -- which consults the cache lazily when a task is
-// scheduled -- cache hits are resolved up front, so only misses enter the
-// batch; observed tasks still always execute (a cached RunResult carries no
-// trace), exactly as in run_task.
-std::vector<sys::RunResult> run_sweep_batched(const sys::WorkloadSet& set,
-                                              const std::vector<Experiment>& experiments,
-                                              const RunOptions& opt) {
-  std::vector<sys::RunResult> results(experiments.size());
-
-  struct Meta {
-    std::size_t index{0};  // position in `experiments` / `results`
-    std::uint64_t key{0};
-    obs::SweepObserver::TaskRecord* rec{nullptr};
-  };
-  std::vector<SweepBatchTask> tasks;
-  std::vector<Meta> metas;
-  tasks.reserve(experiments.size());
-  metas.reserve(experiments.size());
-
-  for (std::size_t i = 0; i < experiments.size(); ++i) {
-    const Experiment& e = experiments[i];
-    obs::SweepObserver::TaskRecord* rec = nullptr;
-    if (opt.obs != nullptr) {
-      rec = opt.obs->add_task(e.workload, std::string{sys::to_string(e.config.scenario)});
-    }
-    const std::uint64_t key = experiment_key(set, e.workload, e.config);
-    if (opt.use_cache && rec == nullptr) {
-      auto& c = cache();
-      std::lock_guard<std::mutex> lk{c.mu};
-      if (auto it = c.entries.find(key); it != c.entries.end()) {
-        ++c.hits;
-        results[i] = it->second;
-        continue;
-      }
-      ++c.misses;
-    }
-    SweepBatchTask t;
-    t.profile = &set.profile(e.workload);
-    t.config = e.config;
-    t.config.run_seed = derive_seed(key);
-    if (rec != nullptr) {
-      rec->key = key;
-      rec->seed = t.config.run_seed;
-      {
-        auto& c = cache();
-        std::lock_guard<std::mutex> lk{c.mu};
-        rec->cache_hit = c.entries.find(key) != c.entries.end();
-      }
-      t.config.observer = &rec->obs;
-    }
-    metas.push_back(Meta{i, key, rec});
-    tasks.push_back(std::move(t));
-  }
-
-  std::vector<sys::RunResult> ran = run_lockstep(tasks, opt.sweep_batch, opt.jobs);
-
-  for (std::size_t k = 0; k < tasks.size(); ++k) {
-    const Meta& m = metas[k];
-    sys::RunResult& result = ran[k];
-    if (m.rec != nullptr) {
-      finish_task_record(m.rec, experiments[m.index].workload, result, m.key,
-                         tasks[k].config.run_seed);
-    }
-    if (opt.use_cache) {
-      auto& c = cache();
-      std::lock_guard<std::mutex> lk{c.mu};
-      c.entries.insert_or_assign(m.key, result);
-    }
-    results[m.index] = std::move(result);
-  }
-  return results;
 }
 
 }  // namespace
@@ -285,7 +206,7 @@ std::uint64_t derive_seed(std::uint64_t key) {
 std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
                                       const std::vector<Experiment>& experiments,
                                       const RunOptions& opt) {
-  if (opt.sweep_batch > 1) return run_sweep_batched(set, experiments, opt);
+  COOLPIM_REQUIRE(opt.sweep_batch == 1, "RunOptions::sweep_batch must be 1");
   std::vector<sys::RunResult> results(experiments.size());
   Pool pool{opt.jobs};
   for (std::size_t i = 0; i < experiments.size(); ++i) {

@@ -38,11 +38,9 @@ struct Experiment {
 struct RunOptions {
   /// Worker count; 0 = Pool::default_jobs() (COOLPIM_JOBS env or all cores).
   unsigned jobs{0};
-  /// Thermal lane-batching width: > 1 routes the sweep through the lock-step
-  /// executor (runner/sweep_batch.hpp), co-advancing up to this many
-  /// experiments per worker through one SoA thermal sweep per epoch.  Results
-  /// are bit-identical to the scalar path at any width (and any jobs count);
-  /// only wall-clock changes.  1 = classic one-task-per-pool-slot execution.
+  /// Must be 1; run_sweep throws ConfigError on any other value.  Kept only
+  /// because the repository benchmark's harness still assigns it; the field
+  /// goes away in the benchmark change that drops that assignment.
   unsigned sweep_batch{1};
   /// Consult/populate the process-wide result cache.
   bool use_cache{true};

@@ -4,18 +4,22 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/parse.hpp"
+
 namespace coolpim::runner {
 
 unsigned Pool::default_jobs() {
-  if (const char* env = std::getenv("COOLPIM_JOBS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return static_cast<unsigned>(v);
+  if (const char* env = std::getenv("COOLPIM_JOBS"); env != nullptr && *env != '\0') {
+    const auto v = static_cast<unsigned>(parse_u64("COOLPIM_JOBS", env, kMaxJobs));
+    if (v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  return std::clamp(hw, 1u, kMaxJobs);
 }
 
 Pool::Pool(unsigned jobs) : jobs_{jobs > 0 ? jobs : default_jobs()} {
+  COOLPIM_REQUIRE(jobs_ <= kMaxJobs,
+                  "pool jobs must be at most " + std::to_string(kMaxJobs));
   queues_.reserve(jobs_);
   for (unsigned i = 0; i < jobs_; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
   // The calling thread is participant jobs_-1 (it drains queues in wait()),

@@ -28,16 +28,24 @@ namespace coolpim::runner {
 
 class Pool {
  public:
-  /// `jobs` = 0 selects default_jobs().  A pool of 1 runs every task on the
-  /// caller's thread (no workers are spawned), which makes jobs=1 runs
-  /// bit-for-bit comparable to never having had a pool at all.
+  /// Upper bound on the worker count (one thread each), enforced on every
+  /// path -- COOLPIM_JOBS, --jobs, an explicit Pool{jobs} -- so a typo never
+  /// spawns thousands of threads.
+  static constexpr unsigned kMaxJobs = 1024;
+
+  /// `jobs` = 0 selects default_jobs(); more than kMaxJobs throws ConfigError.
+  /// A pool of 1 runs every task on the caller's thread (no workers are
+  /// spawned), which makes jobs=1 runs bit-for-bit comparable to never having
+  /// had a pool at all.
   explicit Pool(unsigned jobs = 0);
   ~Pool();
 
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  /// COOLPIM_JOBS environment override, else std::thread::hardware_concurrency.
+  /// COOLPIM_JOBS environment override (0 or unset = all cores), else
+  /// std::thread::hardware_concurrency.  Throws ConfigError when COOLPIM_JOBS
+  /// is not an integer in [0, kMaxJobs].
   [[nodiscard]] static unsigned default_jobs();
 
   [[nodiscard]] unsigned size() const { return jobs_; }

@@ -1,6 +1,5 @@
 #include "sys/run_config.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -8,37 +7,15 @@
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "control/registry.hpp"
 #include "hmc/backend.hpp"
+#include "runner/pool.hpp"
 #include "sys/system.hpp"
 
 namespace coolpim::sys {
 
 namespace {
-
-double parse_double(std::string_view name, const char* text) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  COOLPIM_REQUIRE(end != text && *end == '\0',
-                  std::string{name} + ": expected a number, got '" + text + "'");
-  return v;
-}
-
-/// Decimal integer in [0, max].  strtoull alone would accept a sign (and
-/// wrap "-1" to 2^64-1) and saturate on overflow, so both are rejected here,
-/// as is any value the target field cannot hold.
-std::uint64_t parse_u64(std::string_view name, const char* text,
-                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  COOLPIM_REQUIRE(*text >= '0' && *text <= '9' && *end == '\0',
-                  std::string{name} + ": expected a non-negative integer, got '" + text + "'");
-  COOLPIM_REQUIRE(errno != ERANGE && v <= max, std::string{name} + ": '" + text +
-                                                   "' is out of range (at most " +
-                                                   std::to_string(max) + ")");
-  return v;
-}
 
 unsigned parse_unsigned(std::string_view name, const char* text) {
   return static_cast<unsigned>(parse_u64(name, text, std::numeric_limits<unsigned>::max()));
@@ -94,14 +71,6 @@ const Knob kKnobs[] = {
      }},
     {"COOLPIM_BALANCER", "--balancer",
      [](RunConfig& rc, std::string_view, const char* v) { rc.balancer = v; }},
-    {"COOLPIM_THERMAL_BATCH", "--thermal-batch",
-     [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.thermal_batch = parse_unsigned(n, v);
-     }},
-    {"COOLPIM_SWEEP_BATCH", "--sweep-batch",
-     [](RunConfig& rc, std::string_view n, const char* v) {
-       rc.sweep_batch = parse_unsigned(n, v);
-     }},
     {"COOLPIM_STACK_LAYERS", "--stack-layers",
      [](RunConfig& rc, std::string_view n, const char* v) {
        rc.stack_layers = parse_unsigned(n, v);
@@ -151,16 +120,13 @@ const Knob kKnobs[] = {
 }  // namespace
 
 void RunConfig::validate() const {
-  COOLPIM_REQUIRE(jobs <= kMaxJobs, "jobs must be in [0, " + std::to_string(kMaxJobs) + "]");
+  COOLPIM_REQUIRE(jobs <= runner::Pool::kMaxJobs,
+                  "jobs must be in [0, " + std::to_string(runner::Pool::kMaxJobs) + "]");
   COOLPIM_REQUIRE(scale >= 8 && scale <= 24, "scale must be in [8, 24]");
   COOLPIM_REQUIRE(fleet_nodes >= 1 && fleet_nodes <= 4096,
                   "fleet-nodes must be in [1, 4096]");
   COOLPIM_REQUIRE(arrival_rate > 0.0, "arrival-rate must be positive");
   COOLPIM_REQUIRE(!balancer.empty(), "balancer must not be empty");
-  COOLPIM_REQUIRE(thermal_batch >= 1 && thermal_batch <= 4096,
-                  "thermal-batch must be in [1, 4096]");
-  COOLPIM_REQUIRE(sweep_batch >= 1 && sweep_batch <= 4096,
-                  "sweep-batch must be in [1, 4096]");
   COOLPIM_REQUIRE(stack_layers <= 64, "stack-layers must be in [0, 64]");
   if (!policy.empty()) {
     Scenario unused;
@@ -254,7 +220,7 @@ WorkloadSet::BuildOptions RunConfig::build_options() const {
 
 std::string RunConfig::flags_help() {
   return "  --jobs N             runner parallelism (0 = all cores, at most " +
-         std::to_string(kMaxJobs) +
+         std::to_string(runner::Pool::kMaxJobs) +
          ")\n"
          "  --scale N            graph scale, 2^N vertices (8..24)\n"
          "  --graph-seed N       graph-generation seed\n"
@@ -272,9 +238,6 @@ std::string RunConfig::flags_help() {
          "  --arrival-rate R     fleet tier: open-loop arrivals per second\n"
          "  --balancer NAME      fleet tier: round-robin, join-shortest-queue,\n"
          "                       thermal-aware\n"
-         "  --thermal-batch N    batched-solver lanes per SoA sweep (1..4096)\n"
-         "  --sweep-batch N      co-advance N experiments per worker through\n"
-         "                       one SoA thermal sweep (1 = scalar runner)\n"
          "  --stack-layers N     DRAM dies in the stack geometry (0 = entry\n"
          "                       point default, up to 64; 16 = HBM-class tall)\n"
          "  --fault-drop R       warning drop probability [0,1]\n"

@@ -28,11 +28,8 @@ namespace coolpim::sys {
 struct SystemConfig;
 
 struct RunConfig {
-  /// Upper bound on `jobs`: one worker thread each, so a typo must not
-  /// spawn millions of threads.
-  static constexpr unsigned kMaxJobs = 1024;
   /// Runner parallelism; 0 = all hardware threads (COOLPIM_JOBS / --jobs,
-  /// range [0, kMaxJobs]).
+  /// range [0, runner::Pool::kMaxJobs]).
   unsigned jobs{0};
   /// Graph scale, 2^scale vertices (COOLPIM_SCALE / --scale, range [8, 24]).
   unsigned scale{18};
@@ -65,17 +62,6 @@ struct RunConfig {
   /// Validated against the fleet registry by the fleet layer itself --
   /// sys:: sits below fleet:: and must not link it.
   std::string balancer{"thermal-aware"};
-  /// Batched-thermal-solver lane width (COOLPIM_THERMAL_BATCH /
-  /// --thermal-batch, range [1, 4096]); how many independent thermal grids a
-  /// BatchStackModel advances per SoA sweep pass (docs/PERFORMANCE.md
-  /// section 7).
-  unsigned thermal_batch{8};
-  /// Sweep lane-batching width (COOLPIM_SWEEP_BATCH / --sweep-batch, range
-  /// [1, 4096]); > 1 routes runner sweeps through the lock-step executor,
-  /// co-advancing that many experiments per worker through one SoA thermal
-  /// sweep per epoch (runner/sweep_batch.hpp).  Results are bit-identical to
-  /// the scalar path at any width; only wall-clock changes.
-  unsigned sweep_batch{1};
   /// DRAM die count for the stack geometry (COOLPIM_STACK_LAYERS /
   /// --stack-layers, range [0, 64]); 0 keeps the entry point's default
   /// geometry, >0 selects an hbm_stack_spec-style stack that tall (16-high

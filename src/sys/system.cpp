@@ -10,10 +10,9 @@ System::System(SystemConfig cfg) : cfg_{std::move(cfg)} {
 }
 
 RunResult System::run(const graph::WorkloadProfile& workload) {
-  // Scalar driver of the resumable run (sys/system_run.hpp): every yield is
-  // answered with an immediate scalar thermal step, which executes the exact
-  // statement sequence of the pre-split monolithic epoch loop.  The batched
-  // sweep executor (runner/sweep_batch.hpp) is the other driver.
+  // The driver of the resumable run (sys/system_run.hpp): every yield is
+  // answered with an immediate thermal step, which executes the exact
+  // statement sequence of the pre-split monolithic epoch loop.
   SystemRun run{cfg_, workload};
   while (run.advance()) run.thermal().step(run.pending_dt());
   return run.take_result();

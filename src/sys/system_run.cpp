@@ -451,7 +451,6 @@ void SystemRun::finalize() {
       result_.faults.watchdog_disengagements = wdog_->disengagements();
     }
   }
-  therm_.unbind_lane();  // no-op for scalar runs
 }
 
 RunResult SystemRun::take_result() {

@@ -6,20 +6,16 @@
 // solver advances -- `therm.step(step)` after the epoch's served traffic has
 // been converted to power.  SystemRun inverts control at that point:
 // advance() executes everything up to the next required thermal step and
-// returns true with pending_dt() set; the caller performs the step however
-// it likes and calls advance() again, which resumes with the post-step
+// returns true with pending_dt() set; the caller performs the step and
+// calls advance() again, which resumes with the post-step
 // bookkeeping (counters, sensor, warning delivery, measurement).  advance()
 // returns false when the run is complete.
 //
-// Two drivers exist:
-//  - System::run (scalar): `while (run.advance()) run.thermal().step(dt)` --
-//    executes the exact statement sequence of the pre-split monolithic loop,
-//    so results, counters and traces are byte-identical to it.
-//  - runner's batched sweep executor: binds each run's HmcThermalModel to a
-//    lane of a shared thermal::BatchStackModel, advances all pending lanes
-//    with one SoA sweep (step_lanes), then calls note_stepped() per run.
-//    Per lane the arithmetic is the scalar solver's IEEE sequence verbatim,
-//    so this driver's results are bit-identical to the scalar one.
+// System::run drives it: `while (run.advance()) run.thermal().step(dt)`
+// executes the exact statement sequence of the pre-split monolithic loop, so
+// results, counters and traces are byte-identical to it.  The phases stay
+// resumable so a caller can time or inspect each one on its own (the
+// repository benchmark times the thermal step apart from serve/control).
 #pragma once
 
 #include <cstdint>
@@ -82,10 +78,8 @@ class SystemRun {
   SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload);
 
   /// Advance until the next thermal step is needed.  Returns true when the
-  /// caller must advance the thermal model by pending_dt() (scalar:
-  /// thermal().step(dt); batched: step the bound lane, then
-  /// thermal().note_stepped(dt)) before calling advance() again; false when
-  /// the run is complete and take_result() may be called.
+  /// caller must call thermal().step(pending_dt()) before calling advance()
+  /// again; false when the run is complete and take_result() may be called.
   [[nodiscard]] bool advance();
 
   /// The epoch length the pending thermal step must cover (valid after

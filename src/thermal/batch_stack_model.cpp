@@ -29,9 +29,6 @@ namespace {
 /// term order is exactly StackModel::step_reference(): east, west, north,
 /// south, up, down, board -- the sink term is omitted because g_sink is zero
 /// below the top layer (same bit-exactness argument as the scalar fast path).
-/// The substep length is per lane (hv): uniform stepping passes the same
-/// value in every slot, and a coasting lane (hv[v] == 0) gets an exact
-/// Ni[v] = t -- the lock-step executor's "finished early" identity round.
 COOLPIM_STENCIL_CLONES
 void batch_substep_lower(const double* __restrict T, double* __restrict N,
                          const double* __restrict pw, const double* __restrict amb,
@@ -39,7 +36,7 @@ void batch_substep_lower(const double* __restrict T, double* __restrict N,
                          const double* __restrict gu, const double* __restrict gb,
                          const double* __restrict cap, std::ptrdiff_t begin,
                          std::ptrdiff_t end, std::ptrdiff_t nx, std::ptrdiff_t nc,
-                         std::ptrdiff_t L, const double* __restrict hv) {
+                         std::ptrdiff_t L, double h) {
   for (std::ptrdiff_t i = begin; i < end; ++i) {
     const double gei = ge[i];
     const double gwi = ge[i - 1];
@@ -62,7 +59,7 @@ void batch_substep_lower(const double* __restrict T, double* __restrict N,
       flow += gui * (Ti[nc * L + v] - t);
       flow += gdi * (Ti[v - nc * L] - t);
       flow += gbi * (amb[v] - t);
-      Ni[v] = t + hv[v] * flow / ci;
+      Ni[v] = t + h * flow / ci;
     }
   }
 }
@@ -78,7 +75,7 @@ void batch_substep_top(const double* __restrict T, double* __restrict N,
                        const double* __restrict gb, const double* __restrict cap,
                        const double* __restrict sink_t, double* __restrict sink_flow,
                        std::ptrdiff_t top, std::ptrdiff_t n, std::ptrdiff_t nx,
-                       std::ptrdiff_t nc, std::ptrdiff_t L, const double* __restrict hv) {
+                       std::ptrdiff_t nc, std::ptrdiff_t L, double h) {
   for (std::ptrdiff_t i = top; i < n; ++i) {
     const double gei = ge[i];
     const double gwi = ge[i - 1];
@@ -105,90 +102,7 @@ void batch_substep_top(const double* __restrict T, double* __restrict N,
       flow += f;
       sink_flow[v] -= f;
       flow += gbi * (amb[v] - t);
-      Ni[v] = t + hv[v] * flow / ci;
-    }
-  }
-}
-
-/// Mixed-geometry variant of batch_substep_lower: every conductance and
-/// capacity table is lane-major ([node][lane]) because lanes carry different
-/// compiled networks.  Per lane the term order and arithmetic are unchanged,
-/// so a lane whose tables equal the shared network's steps bit-identically
-/// to the shared-table kernel.
-COOLPIM_STENCIL_CLONES
-void batch_substep_lower_mixed(const double* __restrict T, double* __restrict N,
-                               const double* __restrict pw, const double* __restrict amb,
-                               const double* __restrict ge, const double* __restrict gn,
-                               const double* __restrict gu, const double* __restrict gb,
-                               const double* __restrict cap, std::ptrdiff_t begin,
-                               std::ptrdiff_t end, std::ptrdiff_t nx, std::ptrdiff_t nc,
-                               std::ptrdiff_t L, const double* __restrict hv) {
-  for (std::ptrdiff_t i = begin; i < end; ++i) {
-    const double* gei = ge + i * L;
-    const double* gwi = ge + (i - 1) * L;
-    const double* gni = gn + i * L;
-    const double* gsi = gn + (i - nx) * L;
-    const double* gui = gu + i * L;
-    const double* gdi = gu + (i - nc) * L;
-    const double* gbi = gb + i * L;
-    const double* ci = cap + i * L;
-    const double* Ti = T + i * L;
-    const double* pwi = pw + i * L;
-    double* Ni = N + i * L;
-    for (std::ptrdiff_t v = 0; v < L; ++v) {
-      const double t = Ti[v];
-      double flow = pwi[v];
-      flow += gei[v] * (Ti[L + v] - t);
-      flow += gwi[v] * (Ti[v - L] - t);
-      flow += gni[v] * (Ti[nx * L + v] - t);
-      flow += gsi[v] * (Ti[v - nx * L] - t);
-      flow += gui[v] * (Ti[nc * L + v] - t);
-      flow += gdi[v] * (Ti[v - nc * L] - t);
-      flow += gbi[v] * (amb[v] - t);
-      Ni[v] = t + hv[v] * flow / ci[v];
-    }
-  }
-}
-
-/// Mixed-geometry variant of batch_substep_top (lane-major tables, per-lane
-/// TIM->sink conductance).
-COOLPIM_STENCIL_CLONES
-void batch_substep_top_mixed(const double* __restrict T, double* __restrict N,
-                             const double* __restrict pw, const double* __restrict amb,
-                             const double* __restrict ge, const double* __restrict gn,
-                             const double* __restrict gu, const double* __restrict gsk,
-                             const double* __restrict gb, const double* __restrict cap,
-                             const double* __restrict sink_t, double* __restrict sink_flow,
-                             std::ptrdiff_t top, std::ptrdiff_t n, std::ptrdiff_t nx,
-                             std::ptrdiff_t nc, std::ptrdiff_t L,
-                             const double* __restrict hv) {
-  for (std::ptrdiff_t i = top; i < n; ++i) {
-    const double* gei = ge + i * L;
-    const double* gwi = ge + (i - 1) * L;
-    const double* gni = gn + i * L;
-    const double* gsi = gn + (i - nx) * L;
-    const double* gui = gu + i * L;
-    const double* gdi = gu + (i - nc) * L;
-    const double* gski = gsk + i * L;
-    const double* gbi = gb + i * L;
-    const double* ci = cap + i * L;
-    const double* Ti = T + i * L;
-    const double* pwi = pw + i * L;
-    double* Ni = N + i * L;
-    for (std::ptrdiff_t v = 0; v < L; ++v) {
-      const double t = Ti[v];
-      double flow = pwi[v];
-      flow += gei[v] * (Ti[L + v] - t);
-      flow += gwi[v] * (Ti[v - L] - t);
-      flow += gni[v] * (Ti[nx * L + v] - t);
-      flow += gsi[v] * (Ti[v - nx * L] - t);
-      flow += gui[v] * (Ti[nc * L + v] - t);
-      flow += gdi[v] * (Ti[v - nc * L] - t);
-      const double f = gski[v] * (sink_t[v] - t);
-      flow += f;
-      sink_flow[v] -= f;
-      flow += gbi[v] * (amb[v] - t);
-      Ni[v] = t + hv[v] * flow / ci[v];
+      Ni[v] = t + h * flow / ci;
     }
   }
 }
@@ -284,20 +198,12 @@ BatchStackModel::BatchStackModel(StackSpec spec, std::size_t lanes, BatchOptions
   net_ = StackNetwork::build(spec_);
 
   const double amb_k = spec_.ambient.as_kelvin();
-  const std::size_t padded = (2 * net_.n_cells + net_.n_nodes) * lanes_;
+  padded_ = (2 * net_.n_cells + net_.n_nodes) * lanes_;
   ambient_k_.assign(lanes_, amb_k);
-  temp_.assign(padded, amb_k);
-  scratch_.assign(padded, amb_k);
+  fields_.assign(half_stride() + padded_, amb_k);
   power_w_.assign(net_.n_nodes * lanes_, 0.0);
   sink_temp_k_.assign(lanes_, amb_k);
   sink_flow_.assign(lanes_, 0.0);
-  h_lane_.assign(lanes_, 0.0);
-  lane_h_full_.assign(lanes_, 0.0);
-  lane_subs_.assign(lanes_, 0);
-  lane_g_sink_ambient_.assign(lanes_, net_.g_sink_ambient);
-  lane_co_heater_.assign(lanes_, spec_.co_heater_watts);
-  lane_sink_cap_.assign(lanes_, spec_.sink_heat_capacity);
-  lane_stable_dt_s_.assign(lanes_, net_.stable_dt.as_sec());
   stats_.resize(layer_count() * lanes_);
 
   const std::size_t n_layers = layer_count();
@@ -340,16 +246,16 @@ void BatchStackModel::set_lane_ambient(std::size_t lane, Celsius ambient) {
   COOLPIM_ASSERT(lane < lanes_);
   const double amb_k = ambient.as_kelvin();
   ambient_k_[lane] = amb_k;
-  // Keep the ghost blocks at lane ambient in both buffers.  The ghosts only
+  // Keep the ghost blocks at lane ambient in both halves.  The ghosts only
   // ever multiply zero conductances (the arithmetic cannot see them), but a
   // consistent field makes debug dumps honest.
   const std::size_t nc = net_.n_cells;
   const std::size_t tail = (nc + net_.n_nodes) * lanes_;
-  for (std::size_t g = 0; g < nc; ++g) {
-    temp_[g * lanes_ + lane] = amb_k;
-    scratch_[g * lanes_ + lane] = amb_k;
-    temp_[tail + g * lanes_ + lane] = amb_k;
-    scratch_[tail + g * lanes_ + lane] = amb_k;
+  for (double* half : {live(), spare()}) {
+    for (std::size_t g = 0; g < nc; ++g) {
+      half[g * lanes_ + lane] = amb_k;
+      half[tail + g * lanes_ + lane] = amb_k;
+    }
   }
 }
 
@@ -370,8 +276,6 @@ std::size_t BatchStackModel::substeps_for(Time dt) const {
 }
 
 void BatchStackModel::step(Time dt) {
-  COOLPIM_REQUIRE(!mixed_,
-                  "mixed-geometry batches advance per-lane: use step_lanes()");
   const std::size_t n_sub = substeps_for(dt);
   const double h = dt.as_sec() / static_cast<double>(n_sub);
   if (opt_.kernel == TransientKernel::kExplicit) {
@@ -379,7 +283,7 @@ void BatchStackModel::step(Time dt) {
     if (c_sweeps_ != nullptr) c_sweeps_->add(n_sub);
   } else {
     refactor_adi(h);
-    step_adi(h, n_sub);
+    step_adi(n_sub);
     if (c_adi_ != nullptr) c_adi_->add(n_sub);
   }
   if (c_lanes_ != nullptr) c_lanes_->add(lanes_);
@@ -387,11 +291,6 @@ void BatchStackModel::step(Time dt) {
 }
 
 void BatchStackModel::step_explicit(double h, std::size_t n_sub) {
-  std::fill(h_lane_.begin(), h_lane_.end(), h);
-  for (std::size_t s = 0; s < n_sub; ++s) explicit_round();
-}
-
-void BatchStackModel::explicit_round() {
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.nx);
   const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(net_.n_cells);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(net_.n_nodes);
@@ -399,214 +298,27 @@ void BatchStackModel::explicit_round() {
   const std::ptrdiff_t top = n - nc;
   const double* pw = power_w_.data();
   const double* amb = ambient_k_.data();
-  const double* hv = h_lane_.data();
-  const double* T = temp_.data() + nc * L;
-  double* N = scratch_.data() + nc * L;
+  const double* ge = net_.g_east_pad.data() + nc;  // ge[i-1] is the west link
+  const double* gn = net_.g_north_pad.data() + nc;
+  const double* gu = net_.g_up_pad.data() + nc;
 
-  // Per-lane sink seed.  The coupling arrays hold the shared network's values
-  // in every slot until a mixed-geometry load_lane, so the uniform case reads
-  // the exact same doubles the scalar sweep reads.
-  for (std::size_t v = 0; v < lanes_; ++v) {
-    sink_flow_[v] =
-        lane_g_sink_ambient_[v] * (amb[v] - sink_temp_k_[v]) + lane_co_heater_[v];
-  }
-  if (!mixed_) {
-    const double* ge = net_.g_east_pad.data() + nc;  // ge[i-1] is the west link
-    const double* gn = net_.g_north_pad.data() + nc;
-    const double* gu = net_.g_up_pad.data() + nc;
-    batch_substep_lower(T, N, pw, amb, ge, gn, gu, net_.g_board.data(),
-                        net_.cap.data(), 0, top, nx, nc, L, hv);
-    batch_substep_top(T, N, pw, amb, ge, gn, gu, net_.g_sink.data(),
-                      net_.g_board.data(), net_.cap.data(), sink_temp_k_.data(),
-                      sink_flow_.data(), top, n, nx, nc, L, hv);
-  } else {
-    const double* ge = lane_ge_pad_.data() + nc * L;
-    const double* gn = lane_gn_pad_.data() + nc * L;
-    const double* gu = lane_gu_pad_.data() + nc * L;
-    batch_substep_lower_mixed(T, N, pw, amb, ge, gn, gu, lane_gb_.data(),
-                              lane_cap_.data(), 0, top, nx, nc, L, hv);
-    batch_substep_top_mixed(T, N, pw, amb, ge, gn, gu, lane_gsk_.data(),
-                            lane_gb_.data(), lane_cap_.data(), sink_temp_k_.data(),
-                            sink_flow_.data(), top, n, nx, nc, L, hv);
-  }
-  for (std::size_t v = 0; v < lanes_; ++v) {
-    sink_temp_k_[v] += h_lane_[v] * sink_flow_[v] / lane_sink_cap_[v];
-  }
-  temp_.swap(scratch_);
-}
-
-BatchStackModel::LaneStepPlan BatchStackModel::lane_step_plan(std::size_t lane, Time dt) const {
-  COOLPIM_REQUIRE(opt_.kernel == TransientKernel::kExplicit,
-                  "lane_step_plan (per-lane dt) requires the explicit kernel");
-  COOLPIM_ASSERT(lane < lanes_);
-  COOLPIM_REQUIRE(dt > Time::zero(), "lane_step_plan needs a positive dt");
-  // StackNetwork::substeps_for verbatim, per lane: same ceil arithmetic on
-  // the same doubles, so a lane's substep count and h match its scalar twin.
-  const double want = std::ceil(dt.as_sec() / lane_stable_dt_s_[lane]);
-  COOLPIM_REQUIRE(want <= static_cast<double>(kMaxTransientSubsteps),
-                  "transient step needs " + std::to_string(want) +
-                      " explicit substeps (> kMaxTransientSubsteps); use the "
-                      "ADI kernel (BatchOptions::kernel = kAdi) for this "
-                      "geometry, or split the step");
-  LaneStepPlan plan;
-  plan.substeps = want < 1.0 ? std::size_t{1} : static_cast<std::size_t>(want);
-  plan.h = dt.as_sec() / static_cast<double>(plan.substeps);
-  return plan;
-}
-
-void BatchStackModel::substep_lanes(const double* h) {
-  COOLPIM_REQUIRE(opt_.kernel == TransientKernel::kExplicit,
-                  "substep_lanes (per-lane h) requires the explicit kernel");
-  std::size_t active = 0;
-  for (std::size_t v = 0; v < lanes_; ++v) {
-    h_lane_[v] = h[v];
-    if (h[v] > 0.0) ++active;
-  }
-  explicit_round();
-  if (c_sweeps_ != nullptr) c_sweeps_->add();
-  if (c_lanes_ != nullptr) c_lanes_->add(active);
-  mark_temps_changed();
-}
-
-void BatchStackModel::step_lanes(const Time* dts) {
-  COOLPIM_REQUIRE(opt_.kernel == TransientKernel::kExplicit,
-                  "step_lanes (per-lane dt) requires the explicit kernel");
-  std::size_t rounds = 0;
-  std::size_t active = 0;
-  for (std::size_t v = 0; v < lanes_; ++v) {
-    if (!(dts[v] > Time::zero())) {
-      lane_subs_[v] = 0;
-      lane_h_full_[v] = 0.0;
-      continue;
-    }
-    const LaneStepPlan plan = lane_step_plan(v, dts[v]);
-    lane_subs_[v] = plan.substeps;
-    lane_h_full_[v] = plan.h;
-    rounds = std::max(rounds, plan.substeps);
-    ++active;
-  }
-  if (rounds == 0) return;
-  for (std::size_t s = 0; s < rounds; ++s) {
+  for (std::size_t s = 0; s < n_sub; ++s) {
+    const double* T = live() + nc * L;
+    double* N = spare() + nc * L;
+    // Per-lane sink seed: the scalar sweep's exact expression, per lane.
     for (std::size_t v = 0; v < lanes_; ++v) {
-      h_lane_[v] = s < lane_subs_[v] ? lane_h_full_[v] : 0.0;
+      sink_flow_[v] = net_.g_sink_ambient * (amb[v] - sink_temp_k_[v]) + spec_.co_heater_watts;
     }
-    explicit_round();
-  }
-  if (c_sweeps_ != nullptr) c_sweeps_->add(rounds);
-  if (c_lanes_ != nullptr) c_lanes_->add(active);
-  mark_temps_changed();
-}
-
-Time BatchStackModel::lane_stable_step(std::size_t lane) const {
-  COOLPIM_ASSERT(lane < lanes_);
-  return Time::sec(lane_stable_dt_s_[lane]);
-}
-
-void BatchStackModel::materialize_lane_tables() {
-  if (mixed_) return;
-  COOLPIM_REQUIRE(opt_.kernel == TransientKernel::kExplicit,
-                  "mixed-geometry batches require the explicit kernel (the ADI "
-                  "factorization is shared across lanes)");
-  const std::size_t nc = net_.n_cells;
-  const std::size_t n = net_.n_nodes;
-  const std::size_t L = lanes_;
-  lane_ge_pad_.assign((nc + n) * L, 0.0);
-  lane_gn_pad_.assign((nc + n) * L, 0.0);
-  lane_gu_pad_.assign((nc + n) * L, 0.0);
-  lane_gsk_.assign(n * L, 0.0);
-  lane_gb_.assign(n * L, 0.0);
-  lane_cap_.assign(n * L, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t v = 0; v < L; ++v) {
-      lane_ge_pad_[(nc + i) * L + v] = net_.g_east[i];
-      lane_gn_pad_[(nc + i) * L + v] = net_.g_north[i];
-      lane_gu_pad_[(nc + i) * L + v] = net_.g_up[i];
-      lane_gsk_[i * L + v] = net_.g_sink[i];
-      lane_gb_[i * L + v] = net_.g_board[i];
-      lane_cap_[i * L + v] = net_.cap[i];
+    batch_substep_lower(T, N, pw, amb, ge, gn, gu, net_.g_board.data(), net_.cap.data(), 0,
+                        top, nx, nc, L, h);
+    batch_substep_top(T, N, pw, amb, ge, gn, gu, net_.g_sink.data(), net_.g_board.data(),
+                      net_.cap.data(), sink_temp_k_.data(), sink_flow_.data(), top, n, nx,
+                      nc, L, h);
+    for (std::size_t v = 0; v < lanes_; ++v) {
+      sink_temp_k_[v] += h * sink_flow_[v] / spec_.sink_heat_capacity;
     }
+    live_half_ = 1 - live_half_;
   }
-  mixed_ = true;
-}
-
-void BatchStackModel::load_lane_network(std::size_t lane, const StackNetwork& src,
-                                        const StackSpec& src_spec) {
-  const std::size_t nc = net_.n_cells;
-  const std::size_t L = lanes_;
-  for (std::size_t i = 0; i < net_.n_nodes; ++i) {
-    lane_ge_pad_[(nc + i) * L + lane] = src.g_east[i];
-    lane_gn_pad_[(nc + i) * L + lane] = src.g_north[i];
-    lane_gu_pad_[(nc + i) * L + lane] = src.g_up[i];
-    lane_gsk_[i * L + lane] = src.g_sink[i];
-    lane_gb_[i * L + lane] = src.g_board[i];
-    lane_cap_[i * L + lane] = src.cap[i];
-  }
-  lane_g_sink_ambient_[lane] = src.g_sink_ambient;
-  lane_co_heater_[lane] = src_spec.co_heater_watts;
-  lane_sink_cap_[lane] = src_spec.sink_heat_capacity;
-  lane_stable_dt_s_[lane] = src.stable_dt.as_sec();
-}
-
-void BatchStackModel::load_lane(std::size_t lane, const StackModel& src) {
-  COOLPIM_ASSERT(lane < lanes_);
-  const StackNetwork& sn = src.network();
-  COOLPIM_REQUIRE(src.spec().floorplan.grid.nx == spec_.floorplan.grid.nx &&
-                      src.spec().floorplan.grid.ny == spec_.floorplan.grid.ny &&
-                      src.layer_count() == layer_count(),
-                  "load_lane: source grid dims and layer count must match the batch");
-  const bool same_network =
-      sn.g_east == net_.g_east && sn.g_north == net_.g_north && sn.g_up == net_.g_up &&
-      sn.g_sink == net_.g_sink && sn.g_board == net_.g_board && sn.cap == net_.cap &&
-      sn.g_sink_ambient == net_.g_sink_ambient &&
-      src.spec().co_heater_watts == spec_.co_heater_watts &&
-      src.spec().sink_heat_capacity == spec_.sink_heat_capacity;
-  if (!same_network || mixed_) {
-    materialize_lane_tables();  // no-op once mixed
-    load_lane_network(lane, sn, src.spec());
-  }
-  set_lane_ambient(lane, src.spec().ambient);
-  double* T = field();
-  const double* st = src.node_temps_k();
-  const double* pw = src.node_power_w().data();
-  for (std::size_t i = 0; i < net_.n_nodes; ++i) {
-    T[i * lanes_ + lane] = st[i];
-    power_w_[i * lanes_ + lane] = pw[i];
-  }
-  sink_temp_k_[lane] = src.sink_temp_kelvin();
-  mark_temps_changed();
-}
-
-void BatchStackModel::store_lane(std::size_t lane, StackModel& dst) const {
-  COOLPIM_ASSERT(lane < lanes_);
-  COOLPIM_REQUIRE(dst.spec().floorplan.grid.nx == spec_.floorplan.grid.nx &&
-                      dst.spec().floorplan.grid.ny == spec_.floorplan.grid.ny &&
-                      dst.layer_count() == layer_count(),
-                  "store_lane: destination grid dims and layer count must match");
-  // Gather the strided lane into contiguous node order; copying doubles is
-  // exact, so the scalar model continues from bit-identical state.  This path
-  // runs on load/store boundaries (steady solves, retire), not per substep,
-  // so the scratch allocation is fine.
-  std::vector<double> tmp(net_.n_nodes);
-  const double* T = field();
-  for (std::size_t i = 0; i < net_.n_nodes; ++i) tmp[i] = T[i * lanes_ + lane];
-  dst.set_node_temps_k(tmp.data());
-  for (std::size_t i = 0; i < net_.n_nodes; ++i) {
-    tmp[i] = power_w_[i * lanes_ + lane];
-  }
-  dst.set_node_power_w(tmp.data());
-  dst.set_sink_temp_kelvin(sink_temp_k_[lane]);
-}
-
-void BatchStackModel::reset_lane(std::size_t lane) {
-  COOLPIM_ASSERT(lane < lanes_);
-  const std::size_t total = 2 * net_.n_cells + net_.n_nodes;
-  const double amb_k = ambient_k_[lane];
-  for (std::size_t i = 0; i < total; ++i) {
-    temp_[i * lanes_ + lane] = amb_k;
-    scratch_[i * lanes_ + lane] = amb_k;
-  }
-  sink_temp_k_[lane] = amb_k;
-  mark_temps_changed();
 }
 
 void BatchStackModel::refactor_adi(double h) {
@@ -668,8 +380,7 @@ void BatchStackModel::refactor_adi(double h) {
   adi_.h = h;
 }
 
-void BatchStackModel::step_adi(double h, std::size_t n_sub) {
-  (void)h;
+void BatchStackModel::step_adi(std::size_t n_sub) {
   const auto& grid = spec_.floorplan.grid;
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(grid.nx);
   const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(grid.ny);
@@ -680,7 +391,7 @@ void BatchStackModel::step_adi(double h, std::size_t n_sub) {
   const double g_sink = net_.g_sink[(n_layers - 1) * net_.n_cells];
 
   double* T = field();
-  double* S = scratch_.data() + nc * L;  // Thomas forward-sweep store
+  double* S = spare() + nc * L;  // Thomas forward-sweep store
   const double* pw = power_w_.data();
   const double* amb = ambient_k_.data();
 
@@ -735,12 +446,10 @@ void BatchStackModel::step_adi(double h, std::size_t n_sub) {
 }
 
 void BatchStackModel::reset_to_ambient() {
-  const std::size_t nc = net_.n_cells;
-  const std::size_t total = 2 * nc + net_.n_nodes;
-  for (std::size_t i = 0; i < total; ++i) {
-    for (std::size_t v = 0; v < lanes_; ++v) {
-      temp_[i * lanes_ + v] = ambient_k_[v];
-      scratch_[i * lanes_ + v] = ambient_k_[v];
+  // Both halves, ghost blocks included: rows of `lanes_` doubles.
+  for (double* half : {live(), spare()}) {
+    for (std::size_t i = 0; i < padded_; i += lanes_) {
+      std::copy(ambient_k_.begin(), ambient_k_.end(), half + i);
     }
   }
   for (std::size_t v = 0; v < lanes_; ++v) sink_temp_k_[v] = ambient_k_[v];

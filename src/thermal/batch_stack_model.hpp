@@ -24,17 +24,8 @@
 //  - step() never allocates after construction (counting-allocator pinned),
 //    including the ADI refactorization when the substep length changes.
 //
-// Lane lifecycle (the batched sweep executor, DESIGN.md section 14): lanes
-// can be loaded from / stored to scalar StackModels at any time.  load_lane,
-// store_lane and reset_lane touch only that lane's strided slots, so
-// surviving lanes are bit-unaffected by any retire/refill order.  step_lanes
-// advances each lane by its own dt (0 = idle): a lane that needs fewer
-// substeps than the longest-running lane coasts through the remaining sweep
-// rounds with h = 0, which adds an exact (+/-)0.0 to every positive-Kelvin
-// temperature and therefore preserves its state bit-for-bit.  Mixed
-// geometries (same grid dims and layer count, different materials / sink /
-// TIM) are supported by per-lane conductance tables, materialized lazily on
-// the first load_lane whose compiled network differs from the shared one.
+// Every lane shares one geometry and steps by the same dt: this is the
+// uniform-lane rack solver fleet::run_fleet's kGrid tier runs (docs/FLEET.md).
 #pragma once
 
 #include <cstddef>
@@ -88,61 +79,6 @@ class BatchStackModel {
   /// Advance every lane by `dt` with the configured kernel.
   void step(Time dt);
 
-  // ---- Lane lifecycle (batched sweep executor) ------------------------------
-
-  /// Import one scalar model's full thermal state -- temperatures, sink,
-  /// power, ambient, and (in mixed-geometry batches) its compiled conductance
-  /// network -- into one lane.  Requires matching grid dims and layer count;
-  /// a source whose network differs from the shared one switches the batch
-  /// into mixed-geometry mode (kExplicit only).  Touches only this lane's
-  /// strided slots: other lanes' trajectories are bit-unaffected.
-  void load_lane(std::size_t lane, const StackModel& src);
-
-  /// Export one lane's temperatures, sink state and power back into a scalar
-  /// model (exact copies; the scalar model continues bit-identically).
-  void store_lane(std::size_t lane, StackModel& dst) const;
-
-  /// Reset one lane (field + sink) to its own ambient, leaving other lanes
-  /// untouched.
-  void reset_lane(std::size_t lane);
-
-  /// Advance lane v by dts[v] (Time::zero() = idle, lane state preserved
-  /// bit-for-bit).  Each lane substeps at its own stable h; lanes that finish
-  /// early coast through the remaining sweep rounds with h = 0.  kExplicit
-  /// only.  Per lane this performs the exact IEEE sequence of a scalar
-  /// StackModel::step(dts[v]) on the same network.
-  void step_lanes(const Time* dts);
-
-  /// step_lanes' per-lane split of one dt, exposed for callers that schedule
-  /// lanes themselves: `substeps` rounds of exactly `h` seconds reproduce a
-  /// scalar StackModel::step(dt) on this lane's network bit-for-bit
-  /// (StackNetwork::substeps_for verbatim, on the same doubles).
-  struct LaneStepPlan {
-    std::size_t substeps{0};
-    double h{0.0};
-  };
-
-  /// Split `dt` against `lane`'s stable step.  Throws ConfigError when dt is
-  /// non-positive or the count exceeds kMaxTransientSubsteps.  kExplicit only.
-  [[nodiscard]] LaneStepPlan lane_step_plan(std::size_t lane, Time dt) const;
-
-  /// One explicit substep: lane v advances by h[v] seconds (0.0 = exact
-  /// coast, the lane's state does not move a bit).  Building block for
-  /// asynchronous lane scheduling (runner::run_lockstep): a caller that
-  /// splits each lane's dt with lane_step_plan and feeds the resulting h for
-  /// `substeps` rounds performs the exact per-lane IEEE sequence of
-  /// step_lanes -- without forcing short lanes to coast while long lanes
-  /// finish.  kExplicit only.
-  void substep_lanes(const double* h);
-
-  /// True once a load_lane introduced a network differing from the shared
-  /// spec's (per-lane conductance tables in use).
-  [[nodiscard]] bool mixed_geometry() const { return mixed_; }
-
-  /// Stable explicit-Euler step of one lane's network (differs per lane in
-  /// mixed-geometry batches).
-  [[nodiscard]] Time lane_stable_step(std::size_t lane) const;
-
   /// Substeps one step(dt) performs.  kExplicit: the stable-dt count, throwing
   /// ConfigError past kMaxTransientSubsteps (StackNetwork::substeps_for).
   /// kAdi: ceil(dt / (stable_dt * adi_dt_factor)), minimum 1.
@@ -174,29 +110,27 @@ class BatchStackModel {
     double mean_k;
   };
 
-  [[nodiscard]] double* field() {
-    return temp_.data() + static_cast<std::ptrdiff_t>(net_.n_cells * lanes_);
+  /// The live half of fields_ (ghost blocks included) and its partner.
+  [[nodiscard]] double* live() { return fields_.data() + live_half_ * half_stride(); }
+  [[nodiscard]] const double* live() const {
+    return fields_.data() + live_half_ * half_stride();
   }
-  [[nodiscard]] const double* field() const {
-    return temp_.data() + static_cast<std::ptrdiff_t>(net_.n_cells * lanes_);
-  }
+  [[nodiscard]] double* spare() { return fields_.data() + (1 - live_half_) * half_stride(); }
+  /// One cache line of skew between the halves: at a whole number of 4 KiB
+  /// apart, the ADI line solves (read one half, write the other at the same
+  /// offset) stall on 4K store-to-load aliasing.
+  [[nodiscard]] std::size_t half_stride() const { return padded_ + 8; }
+  /// The live temperature field, skipping the leading ghost block.
+  [[nodiscard]] double* field() { return live() + net_.n_cells * lanes_; }
+  [[nodiscard]] const double* field() const { return live() + net_.n_cells * lanes_; }
   void mark_temps_changed() { stats_dirty_ = true; }
   [[nodiscard]] const std::vector<LaneLayerStat>& stats() const;
 
   void step_explicit(double h, std::size_t n_sub);
-  void step_adi(double h, std::size_t n_sub);
+  void step_adi(std::size_t n_sub);
   /// Recompute the per-direction Thomas factorizations for substep length h.
   /// Writes into preallocated arrays; no allocation.
   void refactor_adi(double h);
-  /// One explicit sweep round with per-lane substep lengths h_lane_ (0 =
-  /// coasting lane).  Shared implementation of step_explicit and step_lanes.
-  void explicit_round();
-  /// Switch to per-lane conductance tables, seeding every lane's slots from
-  /// the shared network.  One-way; allocates once.
-  void materialize_lane_tables();
-  /// Copy `src` into this lane's per-lane table slots and sink parameters.
-  void load_lane_network(std::size_t lane, const StackNetwork& src,
-                         const StackSpec& src_spec);
 
   StackSpec spec_;
   BatchOptions opt_;
@@ -204,31 +138,17 @@ class BatchStackModel {
   StackNetwork net_;
 
   // Lane-major temperatures (Kelvin) with one n_cells*lanes ghost block of
-  // per-lane ambient on either end; `scratch_` is the same-shape double-buffer
-  // partner (explicit sweep) and Thomas forward-sweep store (ADI).
-  std::vector<double> temp_;
-  std::vector<double> scratch_;
+  // per-lane ambient on either end, twice over in one allocation (one malloc,
+  // not two, keeps construction free of heap-trim page faults): the live
+  // half and a same-shape spare, the explicit sweep's write target (the
+  // halves swap roles every substep) and ADI's Thomas forward-sweep store.
+  std::vector<double> fields_;
+  std::size_t padded_{0};     // doubles per half
+  std::size_t live_half_{0};  // 0 or 1
   std::vector<double> power_w_;     // [node][lane] watts
   std::vector<double> ambient_k_;   // per lane
   std::vector<double> sink_temp_k_;  // per lane
   std::vector<double> sink_flow_;    // per-lane scratch for one substep
-  std::vector<double> h_lane_;       // per-lane substep length for one round
-  std::vector<double> lane_h_full_;  // per-lane h while the lane is live
-  std::vector<std::size_t> lane_subs_;  // per-lane substep counts (step_lanes)
-
-  // Per-lane sink coupling (uniform until a mixed-geometry load_lane).
-  std::vector<double> lane_g_sink_ambient_;
-  std::vector<double> lane_co_heater_;
-  std::vector<double> lane_sink_cap_;
-  std::vector<double> lane_stable_dt_s_;  // per-lane explicit stable step
-
-  // Mixed-geometry mode: per-lane conductance/capacity tables, [node][lane]
-  // with one n_cells*lanes ghost block of zeros in front of the padded
-  // east/north/up views (so the west/south/down reads at node offsets -1,
-  // -nx, -n_cells stay in-bounds, mirroring StackNetwork's *_pad layout).
-  bool mixed_{false};
-  std::vector<double> lane_ge_pad_, lane_gn_pad_, lane_gu_pad_;
-  std::vector<double> lane_gsk_, lane_gb_, lane_cap_;
 
   // ADI factorizations, recomputed (in place) whenever the substep length
   // changes: per-layer Thomas coefficients along x and y, one shared column

@@ -70,32 +70,18 @@ void HmcThermalModel::apply_power(const power::PowerBreakdown& power) {
   PowerMap logic = uniform_power(fp, power.logic_background.value());
   logic.add(vault_centered_power(fp, power.logic_dynamic.value(), cfg_.vault_spread_cells));
   logic.add(vault_centered_power(fp, power.fu.value(), 1));
+  stack_.set_layer_power(0, logic);
 
   // DRAM dies: dynamic + background spread uniformly over all dies.
   const double per_die =
       (power.dram_dynamic.value() + power.dram_background.value()) /
       static_cast<double>(cfg_.dram_dies);
   const PowerMap dram = uniform_power(fp, per_die);
-
-  // Bound models keep the live power in the lane; the scalar copy is synced
-  // by store_lane whenever a steady solve needs it.
-  if (batch_ != nullptr) {
-    batch_->set_layer_power(lane_, 0, logic);
-    for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) {
-      batch_->set_layer_power(lane_, l, dram);
-    }
-    return;
-  }
-  stack_.set_layer_power(0, logic);
   for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) stack_.set_layer_power(l, dram);
 }
 
 std::size_t HmcThermalModel::solve_steady(SteadyStart start) {
-  // Bound: round-trip through the scalar model so both paths run the exact
-  // same SOR iteration from the exact same state (copying doubles is exact).
-  if (batch_ != nullptr) batch_->store_lane(lane_, stack_);
   const std::size_t iters = stack_.solve_steady(1e-4, 200000, start);
-  if (batch_ != nullptr) batch_->load_lane(lane_, stack_);
   if (counters_ != nullptr) {
     counters_->counter(obs::names::kThermalSteadySolves).add();
     counters_->counter(obs::names::kThermalSteadyIterations).add(iters);
@@ -103,31 +89,8 @@ std::size_t HmcThermalModel::solve_steady(SteadyStart start) {
   return iters;
 }
 
-void HmcThermalModel::bind_lane(BatchStackModel* batch, std::size_t lane) {
-  COOLPIM_REQUIRE(batch != nullptr && lane < batch->lanes(), "bind_lane: bad lane");
-  batch_ = batch;
-  lane_ = lane;
-  batch_->load_lane(lane_, stack_);
-}
-
-void HmcThermalModel::unbind_lane() {
-  if (batch_ == nullptr) return;
-  batch_->store_lane(lane_, stack_);
-  batch_ = nullptr;
-  lane_ = 0;
-}
-
-void HmcThermalModel::note_stepped(Time dt) { finish_step(dt); }
-
 void HmcThermalModel::step(Time dt) {
-  COOLPIM_REQUIRE(batch_ == nullptr,
-                  "lane-bound model: the batch advances the lane (step_lanes + "
-                  "note_stepped), step() is scalar-only");
   stack_.step(dt);
-  finish_step(dt);
-}
-
-void HmcThermalModel::finish_step(Time dt) {
   const Time began = clock_;
   clock_ = clock_ + dt;
 
@@ -154,7 +117,7 @@ void HmcThermalModel::finish_step(Time dt) {
       args.emplace_back("direction", above ? "rising" : "falling");
       args.emplace_back("limit_c", warn_limit_.value());
       for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) {
-        args.emplace_back("dram" + std::to_string(l - 1) + "_c", layer_peak_at(l).value());
+        args.emplace_back("dram" + std::to_string(l - 1) + "_c", stack_.layer_peak(l).value());
       }
       trace_.instant(clock_, obs::names::kCatThermal, "warning_crossing", std::move(args));
     }
@@ -162,28 +125,19 @@ void HmcThermalModel::finish_step(Time dt) {
 }
 
 void HmcThermalModel::reset() {
-  // reset_lane matches the scalar semantics: temperatures and sink back to
-  // ambient, power untouched (the live power lives in the lane while bound).
-  if (batch_ != nullptr) {
-    batch_->reset_lane(lane_);
-  } else {
-    stack_.reset_to_ambient();
-  }
+  stack_.reset_to_ambient();
   above_limit_ = false;
 }
 
 Celsius HmcThermalModel::peak_dram() const {
-  if (batch_ != nullptr) return batch_->peak_over_layers(lane_, 1, cfg_.dram_dies);
   return stack_.peak_over_layers(1, cfg_.dram_dies);
 }
 
-Celsius HmcThermalModel::peak_logic() const { return layer_peak_at(0); }
+Celsius HmcThermalModel::peak_logic() const { return stack_.layer_peak(0); }
 
 Celsius HmcThermalModel::mean_dram() const {
   double acc = 0.0;
-  for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) {
-    acc += (batch_ != nullptr ? batch_->layer_mean(lane_, l) : stack_.layer_mean(l)).value();
-  }
+  for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) acc += stack_.layer_mean(l).value();
   return Celsius{acc / static_cast<double>(cfg_.dram_dies)};
 }
 

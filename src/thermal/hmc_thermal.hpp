@@ -17,7 +17,6 @@
 #include "obs/trace.hpp"
 #include "power/cooling.hpp"
 #include "power/energy_model.hpp"
-#include "thermal/batch_stack_model.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/stack_model.hpp"
 
@@ -78,28 +77,6 @@ class HmcThermalModel {
   /// Reset the whole stack to ambient.
   void reset();
 
-  // ---- Lane binding (batched sweep executor, DESIGN.md section 14) --------
-  //
-  // A bound model keeps its transient state in one lane of a shared
-  // BatchStackModel instead of in its scalar StackModel: the executor
-  // advances all bound models' lanes with one SoA sweep per epoch and then
-  // calls note_stepped() on each, which performs exactly the bookkeeping
-  // (counters, gauges, trace events) a scalar step() would.  Every
-  // temperature query routes through the lane (the batch's per-lane
-  // reductions are the scalar reductions verbatim), and steady solves
-  // round-trip lane -> scalar SOR -> lane, so a bound run's temperatures,
-  // trace streams and results are bit-identical to an unbound one.
-
-  /// Bind to `lane` of `batch`, importing the current scalar state (exact
-  /// copies).  The batch must outlive the binding.
-  void bind_lane(BatchStackModel* batch, std::size_t lane);
-  /// Export the lane back into the scalar stack and detach.
-  void unbind_lane();
-  [[nodiscard]] bool lane_bound() const { return batch_ != nullptr; }
-  /// Post-step bookkeeping for an externally advanced lane: identical
-  /// counters/gauges/trace to step(dt) minus the stack_.step(dt) itself.
-  void note_stepped(Time dt);
-
   [[nodiscard]] Celsius peak_dram() const;
   [[nodiscard]] Celsius peak_logic() const;
   [[nodiscard]] Celsius mean_dram() const;
@@ -130,21 +107,11 @@ class HmcThermalModel {
   }
   void sync_trace_clock(Time now) { clock_ = now; }
 
-  /// The StackSpec this config compiles to (public so the batched sweep
-  /// executor can size a BatchStackModel for a group of experiments).
-  [[nodiscard]] static StackSpec build_stack_spec(const HmcThermalConfig& cfg);
-
  private:
-  /// Shared tail of step()/note_stepped(): clock, reductions, counters, trace.
-  void finish_step(Time dt);
-  [[nodiscard]] Celsius layer_peak_at(std::size_t layer) const {
-    return batch_ != nullptr ? batch_->layer_peak(lane_, layer) : stack_.layer_peak(layer);
-  }
+  [[nodiscard]] static StackSpec build_stack_spec(const HmcThermalConfig& cfg);
 
   HmcThermalConfig cfg_;
   StackModel stack_;
-  BatchStackModel* batch_{nullptr};
-  std::size_t lane_{0};
 
   obs::Trace trace_;
   obs::CounterRegistry* counters_{nullptr};

@@ -35,7 +35,6 @@
 // change.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -198,23 +197,6 @@ class StackModel {
 
   /// Largest stable explicit-Euler step for the current conductances.
   [[nodiscard]] Time stable_step() const { return net_.stable_dt; }
-
-  // Lane-transfer accessors (BatchStackModel::load_lane/store_lane): raw
-  // Kelvin state in node order, ghost blocks excluded.  Copying doubles is
-  // exact, so a scalar model round-tripped through a batch lane -- or a lane
-  // round-tripped through a scalar model for a steady solve -- continues
-  // from bit-identical state.
-  [[nodiscard]] const double* node_temps_k() const { return field(); }
-  void set_node_temps_k(const double* src) {
-    std::copy(src, src + n_nodes_, field());
-    mark_temps_changed();
-  }
-  [[nodiscard]] double sink_temp_kelvin() const { return sink_temp_k_; }
-  void set_sink_temp_kelvin(double kelvin) { sink_temp_k_ = kelvin; }
-  [[nodiscard]] const std::vector<double>& node_power_w() const { return power_w_; }
-  void set_node_power_w(const double* src) {
-    std::copy(src, src + n_nodes_, power_w_.begin());
-  }
 
  private:
   /// Per-layer reductions, computed lazily in one pass over the field.

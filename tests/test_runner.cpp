@@ -7,6 +7,7 @@
 #include <iterator>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -64,10 +65,33 @@ TEST(PoolTest, FirstTaskExceptionPropagatesFromWait) {
 TEST(PoolTest, DefaultJobsHonoursEnvironment) {
   ASSERT_EQ(setenv("COOLPIM_JOBS", "3", 1), 0);
   EXPECT_EQ(Pool::default_jobs(), 3u);
-  ASSERT_EQ(setenv("COOLPIM_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(Pool::default_jobs(), 1u);  // garbage falls back to hardware
+  ASSERT_EQ(setenv("COOLPIM_JOBS", "1024", 1), 0);
+  EXPECT_EQ(Pool::default_jobs(), Pool::kMaxJobs);
+  ASSERT_EQ(setenv("COOLPIM_JOBS", "0", 1), 0);  // 0 = all cores
+  EXPECT_GE(Pool::default_jobs(), 1u);
   ASSERT_EQ(unsetenv("COOLPIM_JOBS"), 0);
   EXPECT_GE(Pool::default_jobs(), 1u);
+  EXPECT_LE(Pool::default_jobs(), Pool::kMaxJobs);
+}
+
+TEST(PoolTest, DefaultJobsRejectsMalformedOrHugeEnvironment) {
+  // Unchecked, "abc" meant all cores, "-1" wrapped and "5000" spawned 5000
+  // threads; each must be a ConfigError naming the variable.
+  for (const char* v : {"abc", "-1", "5000", "3x"}) {
+    ASSERT_EQ(setenv("COOLPIM_JOBS", v, 1), 0);
+    try {
+      (void)Pool::default_jobs();
+      ADD_FAILURE() << "COOLPIM_JOBS='" << v << "' was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string{e.what()}.find("COOLPIM_JOBS"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(Pool{}, ConfigError) << v;
+  }
+  ASSERT_EQ(unsetenv("COOLPIM_JOBS"), 0);
+}
+
+TEST(PoolTest, ExplicitJobsAreBounded) {
+  EXPECT_THROW(Pool{Pool::kMaxJobs + 1}, ConfigError);
 }
 
 TEST(ExperimentKeyTest, StableAndSensitiveToEveryAxis) {
@@ -184,6 +208,17 @@ TEST_F(RunnerFixture, SweepOrderIndependence) {
   ASSERT_EQ(fwd.size(), bwd.size());
   for (std::size_t i = 0; i < fwd.size(); ++i) {
     expect_identical(fwd[i], bwd[fwd.size() - 1 - i]);
+  }
+}
+
+TEST_F(RunnerFixture, RunSweepRejectsSweepBatchOtherThanOne) {
+  std::vector<Experiment> one(1);
+  one[0].workload = "dc";
+  for (const unsigned batch : {0u, 2u, 8u}) {
+    RunOptions opt;
+    opt.sweep_batch = batch;
+    opt.use_cache = false;
+    EXPECT_THROW((void)run_sweep(set(), one, opt), ConfigError) << batch;
   }
 }
 

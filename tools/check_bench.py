@@ -32,7 +32,7 @@ NUM = (int, float)
 # schema tag -> {key path: expected type(s)}.  A trailing "[]" walks every
 # element of an array.
 SCHEMAS = {
-    "coolpim-bench-thermal/2": {
+    "coolpim-bench-thermal/3": {
         "quick": bool,
         "transient.nodes": NUM,
         "transient.substeps_per_step": NUM,
@@ -51,11 +51,11 @@ SCHEMAS = {
         "batch.nodes": NUM,
         "batch.substeps_per_step": NUM,
         "batch.b1_ns_per_lane_cell_substep": NUM,
-        "batch.b1_cells_substeps_per_sec": NUM,
+        "batch.b1_vs_scalar": NUM,
         "batch.b8_ns_per_lane_cell_substep": NUM,
-        "batch.b8_cells_substeps_per_sec": NUM,
+        "batch.b8_vs_scalar": NUM,
         "batch.b64_ns_per_lane_cell_substep": NUM,
-        "batch.b64_cells_substeps_per_sec": NUM,
+        "batch.b64_vs_scalar": NUM,
         "batch.speedup_b64_vs_b1": NUM,
         "batch.bit_identical": bool,
         "tall_stack.layers": NUM,
@@ -192,7 +192,7 @@ SCHEMAS = {
         "gate.jobs_bit_identical": bool,
         "gate.pass": bool,
     },
-    "coolpim-bench-sim/3": {
+    "coolpim-bench-sim/4": {
         "quick": bool,
         "queue.events": NUM,
         "queue.wall_ms": NUM,
@@ -210,18 +210,6 @@ SCHEMAS = {
         "end_to_end.runs[].wall_ms": NUM,
         "end_to_end.runs[].sim_time_ms": NUM,
         "end_to_end.runs[].peak_dram_c": NUM,
-        "sweep_batch.experiments": NUM,
-        "sweep_batch.scalar_wall_ms": NUM,
-        "sweep_batch.b1_wall_ms": NUM,
-        "sweep_batch.b8_wall_ms": NUM,
-        "sweep_batch.b1_sweep_wall_ms": NUM,
-        "sweep_batch.b8_sweep_wall_ms": NUM,
-        "sweep_batch.b1_sweep_rounds": NUM,
-        "sweep_batch.b8_sweep_rounds": NUM,
-        "sweep_batch.epochs": NUM,
-        "sweep_batch.sweep_speedup_b8_vs_b1": NUM,
-        "sweep_batch.bit_identical": bool,
-        "sweep_batch.gate_pass": bool,
         "backend.xval_epochs": NUM,
         "backend.xval_tolerance": NUM,
         "backend.xval[].kernel": str,
@@ -242,12 +230,15 @@ SCHEMAS = {
 # they swing with machine load and scale flags; rates and speedup ratios are
 # the stable signal.
 THROUGHPUT_KEYS = {
-    "coolpim-bench-thermal/2": [
+    "coolpim-bench-thermal/3": [
         "transient.speedup",
         "steady.iteration_reduction",
-        "batch.b1_cells_substeps_per_sec",
-        "batch.b8_cells_substeps_per_sec",
-        "batch.b64_cells_substeps_per_sec",
+        # Batched kernel speed over the scalar fast kernel timed in the same
+        # run: absolute rates would compare this machine with the one that
+        # recorded the baseline.
+        "batch.b1_vs_scalar",
+        "batch.b8_vs_scalar",
+        "batch.b64_vs_scalar",
         "batch.speedup_b64_vs_b1",
         "tall_stack.speedup",
     ],
@@ -259,10 +250,9 @@ THROUGHPUT_KEYS = {
         # for a 20 % trajectory check; perf_graph gates it at >= 20x itself.
         "hit_model.evicting_speedup",
     ],
-    "coolpim-bench-sim/3": [
+    "coolpim-bench-sim/4": [
         "queue.events_per_sec",
         "periodic.events_per_sec",
-        "sweep_batch.sweep_speedup_b8_vs_b1",
     ],
 }
 

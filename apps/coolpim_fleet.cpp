@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   cfg.jobs = opt.rc.jobs;
   cfg.counter_mark_every = opt.mark_every;
   if (opt.rc.stack_layers > 0) {
-    // Grid fidelity: every node is one lane of a batched 3-D stack solve
+    // Grid fidelity: every node is one lane of a rack of 3-D stack models
     // (docs/PERFORMANCE.md section 7).  16-high and taller uses the ADI
     // kernel -- that is the geometry the explicit stable dt collapses on.
     cfg.thermal = fleet::ThermalFidelity::kGrid;

@@ -1,6 +1,6 @@
 // Perf harness for the thermal hot path (docs/PERFORMANCE.md).
 //
-// Four measurements, emitted as BENCH_thermal.json:
+// Three measurements, emitted as BENCH_thermal.json:
 //
 //  - transient: ns per cell-substep of the branch-free flat-stencil sweep
 //    (StackModel::step) against the retained guarded reference sweep
@@ -13,17 +13,13 @@
 //    re-solved cold (from ambient, SteadyStart::kCold) versus warm-started
 //    (SteadyStart::kWarmScaled, extrapolating from the solve history).
 //
-//  - batch: the fleet tier's batched explicit kernel (BatchStackModel) at 1,
-//    8 and 64 lanes, as ns per lane-cell-substep and as a speed ratio to the
-//    scalar fast kernel timed in the same rounds (`bN_vs_scalar`), with a
-//    per-lane bit-identity check against the scalar reference sweep.
+//  - tall_stack: StackModel's ADI kernel against its explicit kernel on a
+//    16-high HBM stack, timed and checked against the DESIGN.md section 13
+//    tolerance.
 //
-//  - tall_stack: the ADI kernel against the explicit kernel on a 16-high
-//    HBM stack, timed and checked against the DESIGN.md section 13 tolerance.
-//
-// Every speedup and `vs_scalar` value is an in-run ratio: the kernels are
-// timed in interleaved rounds and the ratio is the median over rounds, so it
-// reflects the code rather than the host's speed at the moment.
+// Every speedup is an in-run ratio: the kernels are timed in interleaved
+// rounds and the ratio is the median over rounds, so it reflects the code
+// rather than the host's speed at the moment.
 //
 // Flags: --out FILE (default BENCH_thermal.json), --quick (CI smoke: short
 // timed windows, same schema).  No thresholds are enforced here; the JSON is
@@ -41,7 +37,6 @@
 #include "hmc/config.hpp"
 #include "power/cooling.hpp"
 #include "power/energy_model.hpp"
-#include "thermal/batch_stack_model.hpp"
 #include "thermal/hmc_thermal.hpp"
 #include "thermal/stack_model.hpp"
 
@@ -139,76 +134,9 @@ SteadyResult measure_steady(bool quick) {
   return r;
 }
 
-// ---- Kernel timing: the scalar fast sweep, the retained reference sweep and
-// the batched sweep at 1, 8 and 64 lanes, on the same HMC 2.0 stack, timed in
-// interleaved windows so machine noise hits every kernel alike.
-
-struct BatchWidthResult {
-  std::uint64_t lanes;
-  double ns_per_lane_cell_substep;
-  /// Scalar fast kernel ns per cell-substep over this width's ns per
-  /// lane-cell-substep, the median of the per-round ratios: the batched
-  /// kernel's speed relative to a kernel timed beside it in the same run, so
-  /// a baseline comparison measures code, not the machine.
-  double vs_scalar;
-};
-
-struct BatchResult {
-  std::uint64_t nodes;
-  std::uint64_t substeps_per_step;
-  BatchWidthResult widths[3];
-  double speedup_64_vs_1;
-  bool bit_identical;
-};
-
-/// A batched model of `lanes` lanes with distinct per-lane state (ambient
-/// gradient + power spread) so no lane is a trivially shared cache line.
-thermal::BatchStackModel make_batch(const thermal::StackSpec& spec, std::size_t lanes) {
-  thermal::BatchStackModel batch{spec, lanes};
-  for (std::size_t v = 0; v < lanes; ++v) {
-    batch.set_lane_ambient(v, Celsius{25.0 + 0.1 * static_cast<double>(v)});
-    batch.set_layer_power_uniform(v, 0, 8.0 + 0.05 * static_cast<double>(v));
-    batch.set_layer_power_uniform(v, batch.layer_count() - 1, 2.0);
-  }
-  batch.reset_to_ambient();
-  return batch;
-}
-
-/// In-run gate: every lane of a mixed-power batch must equal a scalar
-/// StackModel driven through the retained reference sweep, exactly.
-bool batch_matches_reference(const thermal::StackSpec& spec, Time dt) {
-  const std::size_t check_lanes = 4;
-  thermal::BatchStackModel batch{spec, check_lanes};
-  std::vector<thermal::StackModel> scalars;
-  for (std::size_t v = 0; v < check_lanes; ++v) {
-    thermal::StackSpec lane_spec = spec;
-    lane_spec.ambient = Celsius{25.0 + 2.0 * static_cast<double>(v)};
-    scalars.emplace_back(lane_spec);
-    batch.set_lane_ambient(v, lane_spec.ambient);
-    const double logic_w = 6.0 + 1.5 * static_cast<double>(v);
-    const thermal::PowerMap logic = thermal::uniform_power(spec.floorplan, logic_w);
-    batch.set_layer_power(v, 0, logic);
-    scalars[v].set_layer_power(0, logic);
-  }
-  batch.reset_to_ambient();
-  for (auto& s : scalars) s.reset_to_ambient();
-  bool identical = true;
-  for (int s = 0; s < 16; ++s) {
-    batch.step(dt);
-    for (auto& sc : scalars) sc.step_reference(dt);
-  }
-  for (std::size_t v = 0; v < check_lanes; ++v) {
-    for (std::size_t l = 0; l < batch.layer_count(); ++l) {
-      for (std::size_t c = 0; c < batch.cells_per_layer(); ++c) {
-        if (batch.cell_temp(v, l, c).value() != scalars[v].cell_temp(l, c).value()) {
-          identical = false;
-        }
-      }
-    }
-    if (batch.sink_temp(v).value() != scalars[v].sink_temp().value()) identical = false;
-  }
-  return identical;
-}
+// ---- Kernel timing: the explicit fast sweep and the retained reference
+// sweep on the same HMC 2.0 stack, timed in interleaved windows so machine
+// noise hits both kernels alike.
 
 /// Median of a[w] / b[w] over timing rounds.  Each round times every kernel
 /// in adjacent windows, so a per-round ratio cancels the slow drifts of a
@@ -224,7 +152,7 @@ double median_ratio(const std::vector<double>& a, const std::vector<double>& b) 
 
 double best(const std::vector<double>& v) { return *std::min_element(v.begin(), v.end()); }
 
-void measure_kernels(bool quick, TransientResult& r, BatchResult& b) {
+TransientResult measure_transient(bool quick) {
   // Many short rounds (an odd count, so the median is one round's ratio).
   const int rounds = quick ? 81 : 121;
   const double window_sec = quick ? 0.005 : 0.01;
@@ -237,22 +165,15 @@ void measure_kernels(bool quick, TransientResult& r, BatchResult& b) {
   fast.solve_steady();
   ref.solve_steady();
 
-  r = TransientResult{};
+  TransientResult r{};
   r.nodes = fast.stack().node_count();
   r.substeps_per_step = fast.stack().substeps_for(dt);
   const std::uint64_t cells = r.nodes * r.substeps_per_step;
 
-  b = BatchResult{};
-  b.nodes = r.nodes;
-  b.substeps_per_step = r.substeps_per_step;
-  const std::size_t kWidths[3] = {1, 8, 64};
-  std::vector<thermal::BatchStackModel> batches;
-  for (const std::size_t lanes : kWidths) batches.push_back(make_batch(fast.stack().spec(), lanes));
-
-  // One window of every kernel per round, in ns per (lane-)cell-substep.
+  // One window of each kernel per round, in ns per cell-substep.
   thermal::StackModel& fast_stack = fast.stack();
   thermal::StackModel& ref_stack = ref.stack();
-  std::vector<double> fast_ns, ref_ns, batch_ns[3];
+  std::vector<double> fast_ns, ref_ns;
   for (int w = 0; w < rounds; ++w) {
     std::uint64_t steps = 0;
     fast_ns.push_back(time_window([&] { fast_stack.step(dt); }, window_sec, cells, &steps));
@@ -260,30 +181,18 @@ void measure_kernels(bool quick, TransientResult& r, BatchResult& b) {
     ref_ns.push_back(
         time_window([&] { ref_stack.step_reference(dt); }, window_sec, cells, &steps));
     r.reference_steps += steps;
-    for (std::size_t i = 0; i < 3; ++i) {
-      thermal::BatchStackModel& batch = batches[i];
-      batch_ns[i].push_back(
-          time_window([&] { batch.step(dt); }, window_sec, cells * kWidths[i], &steps));
-    }
   }
   r.fast_ns_per_cell_substep = best(fast_ns);
   r.reference_ns_per_cell_substep = best(ref_ns);
   r.speedup = median_ratio(ref_ns, fast_ns);
-  for (std::size_t i = 0; i < 3; ++i) {
-    b.widths[i].lanes = kWidths[i];
-    b.widths[i].ns_per_lane_cell_substep = best(batch_ns[i]);
-    b.widths[i].vs_scalar = median_ratio(fast_ns, batch_ns[i]);
-  }
-  b.speedup_64_vs_1 = median_ratio(batch_ns[0], batch_ns[2]);
 
-  // Bit-identity cross-checks: advance both scalar models to the same step
-  // count and require exactly equal peak temperatures; every batched lane
-  // must match its scalar reference run.
+  // Bit-identity cross-check: advance both models to the same step count and
+  // require exactly equal peak temperatures.
   for (std::uint64_t s = r.fast_steps; s < r.reference_steps; ++s) fast_stack.step(dt);
   for (std::uint64_t s = r.reference_steps; s < r.fast_steps; ++s) ref_stack.step_reference(dt);
   r.bit_identical = fast.peak_dram().value() == ref.peak_dram().value() &&
                     fast.peak_logic().value() == ref.peak_logic().value();
-  b.bit_identical = batch_matches_reference(fast.stack().spec(), dt);
+  return r;
 }
 
 // ---- Tall stack: 16-high HBM geometry where the explicit stable dt
@@ -312,16 +221,15 @@ TallStackResult measure_tall_stack(bool quick) {
   for (auto& l : spec.layers) l.volumetric_heat_capacity *= 0.05;
   spec.sink_heat_capacity *= 0.05;
 
-  thermal::BatchOptions adi_opt;
+  thermal::TransientOptions adi_opt;
   adi_opt.kernel = thermal::TransientKernel::kAdi;
-  thermal::BatchStackModel adi{spec, 1, adi_opt};
-  thermal::BatchStackModel explicit_ref{spec, 1};
+  thermal::StackModel adi{spec, adi_opt};
+  thermal::StackModel explicit_ref{spec};
 
   const Time dt = Time::sec(adi.stable_step().as_sec() * 32.0);
   for (auto* m : {&adi, &explicit_ref}) {
-    m->set_layer_power_uniform(0, 0, 10.0);
-    m->set_layer_power_uniform(0, 16, 2.0);
-    m->reset_to_ambient();
+    m->set_layer_power_uniform(0, 10.0);
+    m->set_layer_power_uniform(16, 2.0);
   }
 
   TallStackResult r{};
@@ -337,8 +245,8 @@ TallStackResult measure_tall_stack(bool quick) {
   const int rounds = quick ? 21 : 31;
   std::vector<double> adi_ms, explicit_ms;
   {
-    thermal::BatchStackModel adi_t = adi;
-    thermal::BatchStackModel explicit_t = explicit_ref;
+    thermal::StackModel adi_t = adi;
+    thermal::StackModel explicit_t = explicit_ref;
     for (int round = 0; round < rounds; ++round) {
       bench::StopWatch adi_clock;
       for (int s = 0; s < 8; ++s) adi_t.step(dt);
@@ -359,9 +267,9 @@ TallStackResult measure_tall_stack(bool quick) {
   double max_err = 0.0;
   double max_rise = 0.0;
   for (std::size_t l = 0; l < adi.layer_count(); ++l) {
-    const double want = explicit_ref.layer_peak(0, l).value();
+    const double want = explicit_ref.layer_peak(l).value();
     max_rise = std::max(max_rise, want - spec.ambient.value());
-    max_err = std::max(max_err, std::abs(adi.layer_peak(0, l).value() - want));
+    max_err = std::max(max_err, std::abs(adi.layer_peak(l).value() - want));
   }
   r.speedup = median_ratio(explicit_ms, adi_ms);
   r.max_abs_error_k = max_err;
@@ -377,14 +285,12 @@ int main(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_thermal.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
 
-  TransientResult t{};
-  BatchResult b{};
-  measure_kernels(quick, t, b);
+  const TransientResult t = measure_transient(quick);
   const SteadyResult s = measure_steady(quick);
   const TallStackResult tall = measure_tall_stack(quick);
 
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-thermal/3");
+  json.kv("schema", "coolpim-bench-thermal/4");
   json.kv("quick", quick);
   json.begin_object("transient");
   json.kv("nodes", t.nodes);
@@ -403,18 +309,6 @@ int main(int argc, char** argv) {
   json.kv("iteration_reduction", s.iteration_reduction);
   json.kv("cold_ms", s.cold_ms);
   json.kv("warm_ms", s.warm_ms);
-  json.end();
-  json.begin_object("batch");
-  json.kv("nodes", b.nodes);
-  json.kv("substeps_per_step", b.substeps_per_step);
-  json.kv("b1_ns_per_lane_cell_substep", b.widths[0].ns_per_lane_cell_substep);
-  json.kv("b1_vs_scalar", b.widths[0].vs_scalar);
-  json.kv("b8_ns_per_lane_cell_substep", b.widths[1].ns_per_lane_cell_substep);
-  json.kv("b8_vs_scalar", b.widths[1].vs_scalar);
-  json.kv("b64_ns_per_lane_cell_substep", b.widths[2].ns_per_lane_cell_substep);
-  json.kv("b64_vs_scalar", b.widths[2].vs_scalar);
-  json.kv("speedup_b64_vs_b1", b.speedup_64_vs_1);
-  json.kv("bit_identical", b.bit_identical);
   json.end();
   json.begin_object("tall_stack");
   json.kv("layers", tall.layers);
@@ -441,14 +335,10 @@ int main(int argc, char** argv) {
             << "x, bit-identical=" << (t.bit_identical ? "yes" : "NO") << ")\n"
             << "Steady sweep:    " << s.warm_iterations << " iters warm-started vs "
             << s.cold_iterations << " cold (" << s.iteration_reduction << "x fewer)\n"
-            << "Batched sweep:   " << b.widths[0].vs_scalar << " / " << b.widths[1].vs_scalar
-            << " / " << b.widths[2].vs_scalar
-            << "x the scalar kernel's speed at batch 1 / 8 / 64 (bit-identical="
-            << (b.bit_identical ? "yes" : "NO") << ")\n"
             << "Tall stack:      ADI " << tall.adi_ms << " ms vs explicit " << tall.explicit_ms
             << " ms (" << tall.speedup << "x, max err " << tall.max_abs_error_k << " K, tol "
             << tall.tolerance_k << " K, within=" << (tall.within_tolerance ? "yes" : "NO")
             << ")\n"
             << "Results written to " << out << "\n";
-  return (t.bit_identical && b.bit_identical && tall.within_tolerance) ? 0 : 2;
+  return (t.bit_identical && tall.within_tolerance) ? 0 : 2;
 }

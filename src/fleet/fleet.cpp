@@ -135,9 +135,9 @@ FleetResult run_fleet(const FleetConfig& cfg) {
   }
 
   // Grid fidelity: the whole rack is one BatchStackModel -- node i is lane i,
-  // its per-lane ambient carrying the rack gradient.  serve() and the thermal
-  // advance become separate phases so all lanes march through one lane-major
-  // SoA sweep per epoch instead of N scalar integrations.
+  // a StackModel over the rack's shared network whose ambient carries the
+  // rack gradient.  serve() and the thermal advance become separate phases:
+  // nodes serve in parallel, then the rack steps every lane once per epoch.
   std::unique_ptr<thermal::BatchStackModel> grid;
   std::size_t grid_top_layer = 0;
   std::vector<double> heat_weighted_ms;
@@ -227,8 +227,8 @@ FleetResult run_fleet(const FleetConfig& cfg) {
 
     // ---- Step (parallel): nodes are independent within an epoch, so the
     // shard over the pool is bit-identical at any jobs count.  Under grid
-    // fidelity only serve() fans out; the thermal advance is one batched
-    // sweep whose lane arithmetic never depends on jobs either.
+    // fidelity only serve() fans out; the rack's thermal advance steps each
+    // lane on this thread, so its arithmetic never depends on jobs either.
     if (grid != nullptr) {
       pool.parallel_for(
           cfg.nodes,

@@ -41,9 +41,10 @@ enum class ThermalFidelity {
   /// Historical first-order RC pull toward the load-weighted target
   /// (Node::step); cheapest, and the identity baseline for all goldens.
   kRc,
-  /// Full 3-D stack grids: every node is one lane of a single
-  /// thermal::BatchStackModel, and the whole rack advances as one
-  /// lane-major SoA batch per epoch (docs/PERFORMANCE.md section 7).
+  /// Full 3-D stack grids: every node is one lane of a
+  /// thermal::BatchStackModel rack -- its own StackModel over the rack's
+  /// shared stencil network -- and the whole rack advances once per epoch
+  /// (docs/PERFORMANCE.md section 7).
   kGrid,
 };
 
@@ -73,9 +74,9 @@ struct GridThermalConfig {
   /// shrinks the stack's seconds-scale thermal constant to fleet-epoch
   /// scale so transients resolve within a run.
   double heat_capacity_scale{0.045};
-  /// Transient kernel: explicit Euler (per-lane bit-exact vs the scalar
-  /// reference) or the unconditionally stable ADI line solver for tall
-  /// stacks / fine grids.
+  /// Transient kernel (thermal::TransientOptions): explicit Euler
+  /// (bit-exact vs the reference sweep) or the unconditionally stable ADI
+  /// line solver for tall stacks / fine grids.
   bool use_adi{false};
   double adi_dt_factor{32.0};
 

@@ -56,7 +56,7 @@ inline constexpr std::string_view kThermalSteadySolves = "thermal/steady_solves"
 inline constexpr std::string_view kThermalSteadyIterations = "thermal/steady_iterations";
 inline constexpr std::string_view kThermalSteps = "thermal/steps";
 inline constexpr std::string_view kThermalWarningCrossings = "thermal/warning_crossings";
-// Batched solver (BatchStackModel): lanes advanced per step() call, explicit
+// Rack solver (BatchStackModel): lanes advanced per step() call, explicit
 // sweep passes and ADI passes performed (each pass covers every lane).
 inline constexpr std::string_view kThermalBatchLanes = "thermal/batch_lanes";
 inline constexpr std::string_view kThermalBatchSweeps = "thermal/batch_sweep_passes";

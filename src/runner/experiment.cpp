@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -148,6 +150,30 @@ sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e, bool u
   return result;
 }
 
+/// Rethrows a failed experiment's exception with the experiment named in
+/// front of its message.  The library error types are kept -- the CLIs map
+/// ConfigError to exit code 2 -- and each carries its own tag ("config: ",
+/// "sim: ") once, ahead of the experiment; any other exception propagates
+/// unchanged.
+[[noreturn]] void rethrow_in_context(const std::exception_ptr& err, const Experiment& e) {
+  const std::string where = "experiment " + e.workload + " under " +
+                            std::string{sys::to_string(e.config.scenario)} + ": ";
+  const auto body = [](const std::exception& x, std::string_view tag) {
+    std::string_view what = x.what();
+    if (what.starts_with(tag)) what.remove_prefix(tag.size());
+    return std::string{what};
+  };
+  try {
+    std::rethrow_exception(err);
+  } catch (const ConfigError& x) {
+    throw ConfigError(where + body(x, "config: "));
+  } catch (const SimError& x) {
+    throw SimError(where + body(x, "sim: "));
+  } catch (const Error& x) {
+    throw Error(where + x.what());
+  }
+}
+
 }  // namespace
 
 std::uint64_t config_hash(const sys::SystemConfig& cfg) {
@@ -208,6 +234,10 @@ std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
                                       const RunOptions& opt) {
   COOLPIM_REQUIRE(opt.sweep_batch == 1, "RunOptions::sweep_batch must be 1");
   std::vector<sys::RunResult> results(experiments.size());
+  // Failures land in per-experiment slots: the one rethrown is the lowest
+  // index, not whichever finished first, so the error a sweep reports does
+  // not depend on the jobs count.
+  std::vector<std::exception_ptr> errors(experiments.size());
   Pool pool{opt.jobs};
   for (std::size_t i = 0; i < experiments.size(); ++i) {
     // Observer slots are allocated here, on the submitting thread, so the
@@ -218,11 +248,18 @@ std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
       rec = opt.obs->add_task(experiments[i].workload,
                               std::string{sys::to_string(experiments[i].config.scenario)});
     }
-    pool.submit([&set, &experiments, &results, &opt, i, rec] {
-      results[i] = run_task(set, experiments[i], opt.use_cache, rec);
+    pool.submit([&set, &experiments, &results, &errors, &opt, i, rec] {
+      try {
+        results[i] = run_task(set, experiments[i], opt.use_cache, rec);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     });
   }
   pool.wait();
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (errors[i]) rethrow_in_context(errors[i], experiments[i]);
+  }
   return results;
 }
 

@@ -165,8 +165,7 @@ std::size_t StackNetwork::substeps_for(Time dt) const {
   const double n = std::ceil(dt.as_sec() / stable_dt.as_sec());
   // Fail loudly on the tall-stack/fine-grid collapse: an explicit step that
   // needs millions of substeps is a hang masquerading as progress.  The ADI
-  // kernel (BatchStackModel, TransientKernel::kAdi) is unconditionally
-  // stable and exists for exactly this regime.
+  // kernel is unconditionally stable and exists for exactly this regime.
   COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
                   "explicit transient step needs " + std::to_string(n) +
                       " substeps (> kMaxTransientSubsteps); stable dt has collapsed -- "
@@ -175,8 +174,10 @@ std::size_t StackNetwork::substeps_for(Time dt) const {
   return static_cast<std::size_t>(n);
 }
 
-StackModel::StackModel(StackSpec spec) : spec_{std::move(spec)} {
+StackModel::StackModel(StackSpec spec, TransientOptions opt)
+    : spec_{std::move(spec)}, opt_{opt} {
   spec_.validate();
+  COOLPIM_REQUIRE(opt_.adi_dt_factor >= 1.0, "adi_dt_factor must be >= 1");
   n_cells_ = spec_.floorplan.grid.cells();
   n_nodes_ = n_cells_ * spec_.layers.size();
   // Ghost-padded field: one layer-sized block of ambient cells before and
@@ -187,7 +188,16 @@ StackModel::StackModel(StackSpec spec) : spec_{std::move(spec)} {
   sink_temp_k_ = spec_.ambient.as_kelvin();
   power_w_.assign(n_nodes_, 0.0);
   stats_.resize(spec_.layers.size());
-  net_ = StackNetwork::build(spec_);
+  net_ = std::make_shared<const StackNetwork>(StackNetwork::build(spec_));
+  if (opt_.kernel == TransientKernel::kAdi) {
+    const std::size_t n_layers = spec_.layers.size();
+    const auto& grid = spec_.floorplan.grid;
+    for (auto* v : {&adi_.cp_x, &adi_.inv_x}) v->assign(n_layers * grid.nx, 0.0);
+    for (auto* v : {&adi_.cp_y, &adi_.inv_y}) v->assign(n_layers * grid.ny, 0.0);
+    for (auto* v : {&adi_.cp_z, &adi_.inv_z, &adi_.rc, &adi_.gx, &adi_.gy, &adi_.gu}) {
+      v->assign(n_layers, 0.0);
+    }
+  }
 }
 
 void StackModel::set_layer_power(std::size_t layer, const PowerMap& power) {
@@ -198,7 +208,24 @@ void StackModel::set_layer_power(std::size_t layer, const PowerMap& power) {
   }
 }
 
+void StackModel::set_layer_power_uniform(std::size_t layer, double total_watts) {
+  COOLPIM_REQUIRE(layer < spec_.layers.size(), "layer index out of range");
+  const double per_cell = total_watts / static_cast<double>(n_cells_);
+  std::fill_n(power_w_.begin() + static_cast<std::ptrdiff_t>(node(layer, 0)), n_cells_, per_cell);
+}
+
 void StackModel::clear_power() { std::fill(power_w_.begin(), power_w_.end(), 0.0); }
+
+void StackModel::set_ambient(Celsius ambient) {
+  spec_.ambient = ambient;
+  // The ghost blocks only ever multiply zero conductances (the arithmetic
+  // cannot see them), but they are documented to hold ambient.
+  const double amb_k = ambient.as_kelvin();
+  for (auto* v : {&temp_, &scratch_}) {
+    std::fill_n(v->begin(), n_cells_, amb_k);
+    std::fill_n(v->end() - static_cast<std::ptrdiff_t>(n_cells_), n_cells_, amb_k);
+  }
+}
 
 std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
                                      SteadyStart start) {
@@ -236,6 +263,7 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
   const std::size_t n_layers = spec_.layers.size();
   const double ambient_k = spec_.ambient.as_kelvin();
   const double omega = 1.85;  // SOR over-relaxation
+  const StackNetwork& net = *net_;
   double* T = field();
 
   std::size_t iter = 0;
@@ -244,13 +272,13 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
 
     // Sink node first (Gauss-Seidel: uses the freshest neighbour values).
     {
-      double num = net_.g_sink_ambient * ambient_k + spec_.co_heater_watts;
+      double num = net.g_sink_ambient * ambient_k + spec_.co_heater_watts;
       const double* top = T + static_cast<std::ptrdiff_t>((n_layers - 1) * n_cells_);
-      const double* gs = net_.g_sink.data() + static_cast<std::ptrdiff_t>((n_layers - 1) * n_cells_);
+      const double* gs = net.g_sink.data() + static_cast<std::ptrdiff_t>((n_layers - 1) * n_cells_);
       for (std::ptrdiff_t c = 0; c < nc; ++c) {
         num += gs[c] * top[c];
       }
-      const double t_new = num / net_.sink_g_total;
+      const double t_new = num / net.sink_g_total;
       max_delta = std::max(max_delta, std::abs(t_new - sink_temp_k_));
       sink_temp_k_ = t_new;
     }
@@ -261,17 +289,17 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
     for (std::ptrdiff_t i = 0; i < n; ++i) {
       const double* Ti = T + i;
       double num = power_w_[static_cast<std::size_t>(i)];
-      num += net_.g_east[static_cast<std::size_t>(i)] * Ti[1];
-      num += net_.g_west[static_cast<std::size_t>(i)] * Ti[-1];
-      num += net_.g_north[static_cast<std::size_t>(i)] * Ti[nx];
-      num += net_.g_south[static_cast<std::size_t>(i)] * Ti[-nx];
-      num += net_.g_up[static_cast<std::size_t>(i)] * Ti[nc];
-      num += net_.g_down[static_cast<std::size_t>(i)] * Ti[-nc];
-      num += net_.g_sink[static_cast<std::size_t>(i)] * sink_temp_k_;
-      num += net_.g_board[static_cast<std::size_t>(i)] * ambient_k;
+      num += net.g_east[static_cast<std::size_t>(i)] * Ti[1];
+      num += net.g_west[static_cast<std::size_t>(i)] * Ti[-1];
+      num += net.g_north[static_cast<std::size_t>(i)] * Ti[nx];
+      num += net.g_south[static_cast<std::size_t>(i)] * Ti[-nx];
+      num += net.g_up[static_cast<std::size_t>(i)] * Ti[nc];
+      num += net.g_down[static_cast<std::size_t>(i)] * Ti[-nc];
+      num += net.g_sink[static_cast<std::size_t>(i)] * sink_temp_k_;
+      num += net.g_board[static_cast<std::size_t>(i)] * ambient_k;
 
       const double t_old = *Ti;
-      const double t_gs = num / net_.g_diag[static_cast<std::size_t>(i)];
+      const double t_gs = num / net.g_diag[static_cast<std::size_t>(i)];
       const double t_new = t_old + omega * (t_gs - t_old);
       max_delta = std::max(max_delta, std::abs(t_new - t_old));
       T[i] = t_new;
@@ -290,7 +318,15 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
   return iter + 1;
 }
 
-std::size_t StackModel::substeps_for(Time dt) const { return net_.substeps_for(dt); }
+std::size_t StackModel::substeps_for(Time dt) const {
+  if (opt_.kernel == TransientKernel::kExplicit) return net_->substeps_for(dt);
+  COOLPIM_REQUIRE(dt > Time::zero(), "transient step must be positive");
+  const double n = std::ceil(dt.as_sec() / (net_->stable_dt.as_sec() * opt_.adi_dt_factor));
+  COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
+                  "transient step needs " + std::to_string(n) +
+                      " ADI substeps (> kMaxTransientSubsteps); split the step");
+  return n < 1.0 ? std::size_t{1} : static_cast<std::size_t>(n);
+}
 
 namespace {
 
@@ -375,12 +411,104 @@ double substep_top(const double* __restrict T, double* __restrict N,
   return sink_flow;
 }
 
+/// Backward-Euler Thomas solves of the `lines` homogeneous diffusion lines
+/// of one layer (x or y pass of the ADI split):
+/// (C/h) T* - g*(neighbour coupling) = (C/h) T^n.  Element k of line j sits
+/// at j*line_stride + k*elem_stride.  The inner loops run across lines --
+/// rows (stride nx) in the x pass, columns (contiguous) in the y pass -- so
+/// the lines advance side by side instead of as one serial recurrence.
+/// `cp`/`inv` are the precomputed elimination coefficients and S is the
+/// forward-sweep store (the scratch field at the same offsets as T).
+COOLPIM_STENCIL_CLONES
+void thomas_lines(double* __restrict T, double* __restrict S, const double* __restrict cp,
+                  const double* __restrict inv, double g, double rc, std::ptrdiff_t m,
+                  std::ptrdiff_t lines, std::ptrdiff_t elem_stride, std::ptrdiff_t line_stride) {
+  const double i0 = inv[0];
+  for (std::ptrdiff_t j = 0; j < lines; ++j) {
+    const std::ptrdiff_t a = j * line_stride;
+    S[a] = rc * T[a] * i0;
+  }
+  for (std::ptrdiff_t k = 1; k < m; ++k) {
+    const double ik = inv[k];
+    for (std::ptrdiff_t j = 0; j < lines; ++j) {
+      const std::ptrdiff_t a = k * elem_stride + j * line_stride;
+      S[a] = (rc * T[a] + g * S[a - elem_stride]) * ik;
+    }
+  }
+  for (std::ptrdiff_t j = 0; j < lines; ++j) {
+    const std::ptrdiff_t a = (m - 1) * elem_stride + j * line_stride;
+    T[a] = S[a];
+  }
+  for (std::ptrdiff_t k = m - 2; k >= 0; --k) {
+    const double cpk = cp[k];
+    for (std::ptrdiff_t j = 0; j < lines; ++j) {
+      const std::ptrdiff_t a = k * elem_stride + j * line_stride;
+      T[a] = S[a] - cpk * T[a + elem_stride];
+    }
+  }
+}
+
+/// z pass: every one of the nc vertical columns solved side by side, layer
+/// by layer (each layer is contiguous).  Carries the power sources, the
+/// board leak into layer 0 (`board_in` = g_board * ambient) and the TIM
+/// coupling of the top layer against the lagged sink (`sink_in` = g_sink *
+/// T_sink).  gup[l] is the layer->layer+1 link, rc[l] = cap_l/h.
+COOLPIM_STENCIL_CLONES
+void thomas_z(double* __restrict T, double* __restrict S, const double* __restrict pw,
+              const double* __restrict cp, const double* __restrict inv,
+              const double* __restrict gup, const double* __restrict rc, double board_in,
+              double sink_in, std::ptrdiff_t m, std::ptrdiff_t nc) {
+  {
+    const double i0 = inv[0];
+    const double rc0 = rc[0];
+    const double top_in = (m == 1) ? sink_in : 0.0;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) {
+      const double d = rc0 * T[c] + pw[c] + board_in + top_in;
+      S[c] = d * i0;
+    }
+  }
+  for (std::ptrdiff_t k = 1; k < m; ++k) {
+    const double* Tk = T + k * nc;
+    const double* pwk = pw + k * nc;
+    const double* Sp = S + (k - 1) * nc;
+    double* Sk = S + k * nc;
+    const double gd = gup[k - 1];
+    const double ik = inv[k];
+    const double rck = rc[k];
+    const double top_in = (k == m - 1) ? sink_in : 0.0;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) {
+      const double d = rck * Tk[c] + pwk[c] + top_in;
+      Sk[c] = (d + gd * Sp[c]) * ik;
+    }
+  }
+  {
+    double* Tl = T + (m - 1) * nc;
+    const double* Sl = S + (m - 1) * nc;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) Tl[c] = Sl[c];
+  }
+  for (std::ptrdiff_t k = m - 2; k >= 0; --k) {
+    double* Tk = T + k * nc;
+    const double* Sk = S + k * nc;
+    const double* Tn = T + (k + 1) * nc;
+    const double cpk = cp[k];
+    for (std::ptrdiff_t c = 0; c < nc; ++c) Tk[c] = Sk[c] - cpk * Tn[c];
+  }
+}
+
 }  // namespace
 
 void StackModel::step(Time dt) {
-  const double total = dt.as_sec();
   const std::size_t n_sub = substeps_for(dt);
-  const double h = total / static_cast<double>(n_sub);
+  const double h = dt.as_sec() / static_cast<double>(n_sub);
+  if (opt_.kernel == TransientKernel::kAdi) {
+    adi_substeps(h, n_sub);
+  } else {
+    explicit_substeps(h, n_sub);
+  }
+  mark_temps_changed();
+}
+
+void StackModel::explicit_substeps(double h, std::size_t n_sub) {
   const double ambient_k = spec_.ambient.as_kelvin();
 
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.nx);
@@ -388,12 +516,12 @@ void StackModel::step(Time dt) {
   const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(n_nodes_);
   const double* pw = power_w_.data();
-  const double* ge = net_.g_east_pad.data() + nc;  // ge[i-1] is the west link
-  const double* gn = net_.g_north_pad.data() + nc;
-  const double* gu = net_.g_up_pad.data() + nc;
-  const double* gsk = net_.g_sink.data();
-  const double* gb = net_.g_board.data();
-  const double* cap = net_.cap.data();
+  const double* ge = net_->g_east_pad.data() + nc;  // ge[i-1] is the west link
+  const double* gn = net_->g_north_pad.data() + nc;
+  const double* gu = net_->g_up_pad.data() + nc;
+  const double* gsk = net_->g_sink.data();
+  const double* gb = net_->g_board.data();
+  const double* cap = net_->cap.data();
   const std::ptrdiff_t top = n - nc;
 
   const std::size_t n_layers = spec_.layers.size();
@@ -402,7 +530,7 @@ void StackModel::step(Time dt) {
     const double* T = temp_.data() + nc;
     double* N = scratch_.data() + nc;
     const double sink_t = sink_temp_k_;
-    double sink_flow = net_.g_sink_ambient * (ambient_k - sink_t) + spec_.co_heater_watts;
+    double sink_flow = net_->g_sink_ambient * (ambient_k - sink_t) + spec_.co_heater_watts;
     for (std::size_t l = 0; l + 1 < n_layers; ++l) {
       const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(l) * nc;
       // Per-layer uniform conductances, read once from the tables (cell 0
@@ -435,12 +563,113 @@ void StackModel::step(Time dt) {
     sink_temp_k_ += h * sink_flow / spec_.sink_heat_capacity;
     temp_.swap(scratch_);
   }
-  mark_temps_changed();
+}
+
+void StackModel::AdiPlan::factor(const StackNetwork& net, const StackSpec& spec, double h_new) {
+  if (h == h_new) return;
+  const std::size_t n_layers = spec.layers.size();
+  const auto& grid = spec.floorplan.grid;
+  const std::size_t nc = net.n_cells;
+
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    rc[l] = net.cap[l * nc] / h_new;
+    gx[l] = grid.nx > 1 ? net.g_east[l * nc] : 0.0;
+    gy[l] = grid.ny > 1 ? net.g_north[l * nc] : 0.0;
+    gu[l] = net.g_up[l * nc];  // zero at the top layer
+  }
+
+  // Uniform tridiagonal factorization: diag rc+g at the ends, rc+2g in the
+  // interior, off-diagonals -g.  cp holds c'_k (negative), inv the reciprocal
+  // elimination denominators.
+  const auto factor_uniform = [](double rc_l, double g, double* cp, double* inv,
+                                 std::size_t m) {
+    double den = rc_l + (m > 1 ? g : 0.0);
+    inv[0] = 1.0 / den;
+    cp[0] = (m > 1 ? -g : 0.0) * inv[0];
+    for (std::size_t k = 1; k < m; ++k) {
+      const double b = rc_l + (k + 1 < m ? 2.0 * g : g);
+      den = b + g * cp[k - 1];  // b - a*cp with a = -g
+      inv[k] = 1.0 / den;
+      cp[k] = (k + 1 < m ? -g : 0.0) * inv[k];
+    }
+  };
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    factor_uniform(rc[l], gx[l], cp_x.data() + l * grid.nx, inv_x.data() + l * grid.nx,
+                   grid.nx);
+    factor_uniform(rc[l], gy[l], cp_y.data() + l * grid.ny, inv_y.data() + l * grid.ny,
+                   grid.ny);
+  }
+
+  // Vertical column: per-layer up/down links plus the board leak at layer 0
+  // and the (lagged-sink) TIM coupling at the top layer.
+  const double g_board = net.g_board[0];
+  const double g_sink = net.g_sink[(n_layers - 1) * nc];
+  double den = 0.0;
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const double gu_l = gu[l];
+    const double gd_l = l > 0 ? gu[l - 1] : 0.0;
+    double b = rc[l] + gu_l + gd_l;
+    if (l == 0) b += g_board;
+    if (l + 1 == n_layers) b += g_sink;
+    den = (l == 0) ? b : b + gd_l * cp_z[l - 1];  // b - a*cp with a = -gd
+    inv_z[l] = 1.0 / den;
+    cp_z[l] = -gu_l * inv_z[l];
+  }
+
+  sink_rc = spec.sink_heat_capacity / h_new;
+  inv_sink_den = 1.0 / (sink_rc + net.sink_g_total);
+  h = h_new;
+}
+
+void StackModel::adi_substeps(double h, std::size_t n_sub) {
+  const StackNetwork& net = *net_;
+  adi_.factor(net, spec_, h);
+  const auto& grid = spec_.floorplan.grid;
+  const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(grid.nx);
+  const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(grid.ny);
+  const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
+  const std::size_t n_layers = spec_.layers.size();
+  const double ambient_k = spec_.ambient.as_kelvin();
+  const double g_board = net.g_board[0];
+  const double g_sink = net.g_sink[(n_layers - 1) * n_cells_];
+
+  double* T = field();
+  double* S = scratch_.data() + nc;  // Thomas forward-sweep store
+  for (std::size_t s = 0; s < n_sub; ++s) {
+    // x pass: implicit lateral diffusion along rows.
+    if (nx > 1) {
+      for (std::size_t l = 0; l < n_layers; ++l) {
+        const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(l) * nc;
+        thomas_lines(T + base, S + base, adi_.cp_x.data() + l * grid.nx,
+                     adi_.inv_x.data() + l * grid.nx, adi_.gx[l], adi_.rc[l], nx, ny, 1, nx);
+      }
+    }
+    // y pass: implicit lateral diffusion along columns.
+    if (ny > 1) {
+      for (std::size_t l = 0; l < n_layers; ++l) {
+        const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(l) * nc;
+        thomas_lines(T + base, S + base, adi_.cp_y.data() + l * grid.ny,
+                     adi_.inv_y.data() + l * grid.ny, adi_.gy[l], adi_.rc[l], ny, nx, nx, 1);
+      }
+    }
+    // z pass: implicit vertical conduction carrying power, board leak and the
+    // lagged-sink TIM coupling.
+    thomas_z(T, S, power_w_.data(), adi_.cp_z.data(), adi_.inv_z.data(), adi_.gu.data(),
+             adi_.rc.data(), g_board * ambient_k, g_sink * sink_temp_k_,
+             static_cast<std::ptrdiff_t>(n_layers), nc);
+    // Implicit sink update against the fresh top-layer field.
+    double top_sum = 0.0;
+    const double* Ttop = T + static_cast<std::ptrdiff_t>(n_layers - 1) * nc;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) top_sum += Ttop[c];
+    sink_temp_k_ = (adi_.sink_rc * sink_temp_k_ + net.g_sink_ambient * ambient_k +
+                    spec_.co_heater_watts + g_sink * top_sum) *
+                   adi_.inv_sink_den;
+  }
 }
 
 void StackModel::step_reference(Time dt) {
   const double total = dt.as_sec();
-  const std::size_t n_sub = substeps_for(dt);
+  const std::size_t n_sub = net_->substeps_for(dt);
   const double h = total / static_cast<double>(n_sub);
 
   const auto& fp = spec_.floorplan;
@@ -452,26 +681,26 @@ void StackModel::step_reference(Time dt) {
 
   std::vector<double> next(n_nodes_);
   for (std::size_t s = 0; s < n_sub; ++s) {
-    double sink_flow = net_.g_sink_ambient * (ambient_k - sink_temp_k_) + spec_.co_heater_watts;
+    double sink_flow = net_->g_sink_ambient * (ambient_k - sink_temp_k_) + spec_.co_heater_watts;
     for (std::size_t l = 0; l < n_layers; ++l) {
       for (std::size_t y = 0; y < ny; ++y) {
         for (std::size_t x = 0; x < nx; ++x) {
           const std::size_t nidx = node(l, fp.grid.index(x, y));
           const double t = T[nidx];
           double flow = power_w_[nidx];
-          if (x + 1 < nx) flow += net_.g_east[nidx] * (T[nidx + 1] - t);
-          if (x > 0) flow += net_.g_west[nidx] * (T[nidx - 1] - t);
-          if (y + 1 < ny) flow += net_.g_north[nidx] * (T[nidx + nx] - t);
-          if (y > 0) flow += net_.g_south[nidx] * (T[nidx - nx] - t);
-          if (l + 1 < n_layers) flow += net_.g_up[nidx] * (T[nidx + n_cells_] - t);
-          if (l > 0) flow += net_.g_down[nidx] * (T[nidx - n_cells_] - t);
-          if (net_.g_sink[nidx] > 0.0) {
-            const double f = net_.g_sink[nidx] * (sink_temp_k_ - t);
+          if (x + 1 < nx) flow += net_->g_east[nidx] * (T[nidx + 1] - t);
+          if (x > 0) flow += net_->g_west[nidx] * (T[nidx - 1] - t);
+          if (y + 1 < ny) flow += net_->g_north[nidx] * (T[nidx + nx] - t);
+          if (y > 0) flow += net_->g_south[nidx] * (T[nidx - nx] - t);
+          if (l + 1 < n_layers) flow += net_->g_up[nidx] * (T[nidx + n_cells_] - t);
+          if (l > 0) flow += net_->g_down[nidx] * (T[nidx - n_cells_] - t);
+          if (net_->g_sink[nidx] > 0.0) {
+            const double f = net_->g_sink[nidx] * (sink_temp_k_ - t);
             flow += f;
             sink_flow -= f;
           }
-          flow += net_.g_board[nidx] * (ambient_k - t);
-          next[nidx] = t + h * flow / net_.cap[nidx];
+          flow += net_->g_board[nidx] * (ambient_k - t);
+          next[nidx] = t + h * flow / net_->cap[nidx];
         }
       }
     }

@@ -21,7 +21,9 @@
 //            ambient
 //
 // Solvers: steady state via Gauss-Seidel/SOR; transient via explicit Euler
-// with an automatically chosen stable sub-step.
+// with an automatically chosen stable sub-step (TransientKernel::kExplicit)
+// or, for tall stacks on fine grids where that sub-step collapses, an
+// unconditionally stable ADI kernel (TransientKernel::kAdi).
 //
 // Hot-path layout (docs/PERFORMANCE.md): the stencil is precomputed into
 // flat structure-of-arrays neighbour-conductance tables (one entry per node
@@ -36,6 +38,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,13 +77,13 @@ struct StackSpec {
 /// HBM-class stack: `dram_dies` thin DRAM dies over one logic die on an
 /// nx x ny grid.  The 16-high variant with a fine grid is the multi-stack
 /// geometry of the HBM thermal-vulnerability literature; its explicit-Euler
-/// stable dt collapses with cell area, which is what the ADI kernel of
-/// BatchStackModel exists for (docs/PERFORMANCE.md section 7).
+/// stable dt collapses with cell area, which is what TransientKernel::kAdi
+/// exists for (docs/PERFORMANCE.md section 7).
 [[nodiscard]] StackSpec hbm_stack_spec(std::size_t dram_dies, std::size_t grid_nx,
                                        std::size_t grid_ny);
 
-/// Ceiling on the explicit-Euler substep count a single step()/step_reference()
-/// call may take.  Tall stacks on fine grids shrink the stable dt quadratically
+/// Ceiling on the substep count a single step()/step_reference() call may
+/// take.  Tall stacks on fine grids shrink the stable dt quadratically
 /// with cell area; silently looping tens of millions of substeps behind one
 /// step() call is a hang, not a simulation.  substeps_for() throws ConfigError
 /// past this bound and names the ADI kernel as the way out.
@@ -90,9 +93,8 @@ inline constexpr std::size_t kMaxTransientSubsteps = std::size_t{1} << 22;
 /// neighbour-conductance tables (zero where the neighbour does not exist),
 /// mirrored west/south/down views, ghost-padded offset copies for the
 /// branch-free sweeps, heat capacities, the lumped-sink coupling and the
-/// explicit-Euler stable step.  Shared verbatim by StackModel (one grid) and
-/// BatchStackModel (N lanes over one network), so the two solvers cannot
-/// drift apart on stencil construction.
+/// explicit-Euler stable step.  Read-only once built: copies of a StackModel
+/// (and so every lane of a rack) share one instance.
 struct StackNetwork {
   std::size_t n_cells{0};
   std::size_t n_nodes{0};
@@ -141,42 +143,72 @@ struct StackNetwork {
 /// All starts converge to the same solution within the solver tolerance.
 enum class SteadyStart { kWarm, kWarmScaled, kCold };
 
+/// Which transient integrator step() runs.
+enum class TransientKernel {
+  kExplicit,  ///< explicit Euler at the stable substep; bit-identical to step_reference()
+  kAdi,       ///< implicit ADI line solves; unconditionally stable, tolerance-bounded
+};
+
+struct TransientOptions {
+  TransientKernel kernel{TransientKernel::kExplicit};
+  /// ADI substep length as a multiple of the explicit stable dt.  The ADI
+  /// pass is unconditionally stable, so this trades splitting error against
+  /// work; 32 keeps a 16-high HBM stack within the documented tolerance of a
+  /// tight-dt explicit reference while doing ~32x fewer passes.
+  double adi_dt_factor{32.0};
+};
+
 class StackModel {
  public:
-  explicit StackModel(StackSpec spec);
+  /// Compiles the stencil network.  Copies share it (it is immutable), so a
+  /// rack of N same-geometry stacks compiles it once.
+  explicit StackModel(StackSpec spec, TransientOptions opt = {});
 
   [[nodiscard]] const StackSpec& spec() const { return spec_; }
+  [[nodiscard]] const TransientOptions& options() const { return opt_; }
   [[nodiscard]] std::size_t layer_count() const { return spec_.layers.size(); }
   [[nodiscard]] std::size_t cells_per_layer() const { return spec_.floorplan.grid.cells(); }
   [[nodiscard]] std::size_t node_count() const { return n_nodes_; }
 
   /// Replace the power map of one layer (watts per cell).
   void set_layer_power(std::size_t layer, const PowerMap& power);
+  /// Replace one layer's power with a uniform total (no allocation).
+  void set_layer_power_uniform(std::size_t layer, double total_watts);
   /// Convenience: clear all power.
   void clear_power();
+
+  /// Change the ambient (board, sink and ghost-cell boundary temperature)
+  /// without touching the current temperature field; reset_to_ambient()
+  /// moves the field onto it.
+  void set_ambient(Celsius ambient);
 
   /// Solve for the steady-state temperature field with the current power.
   /// Returns the number of solver iterations used.
   std::size_t solve_steady(double tolerance_k = 1e-4, std::size_t max_iters = 200000,
                            SteadyStart start = SteadyStart::kWarm);
 
-  /// Advance the transient solution by `dt` with the current power.
-  /// Branch-free flat-stencil sweep; no heap allocation after construction.
+  /// Advance the transient solution by `dt` with the current power, using
+  /// the configured kernel.  kExplicit is the branch-free flat-stencil sweep;
+  /// kAdi is Lie-split backward-Euler line solves (Thomas algorithm) along
+  /// x, y and z, then an implicit sink update.  No heap allocation after
+  /// construction for either kernel, including the ADI refactorization when
+  /// the substep length changes.
   void step(Time dt);
 
-  /// Retained naive sweep (boundary branches per cell, fresh scratch vector
-  /// per call).  Produces bit-identical temperatures to step(); kept as the
+  /// Retained naive explicit sweep (boundary branches per cell, fresh
+  /// scratch vector per call), whatever the configured kernel.  Produces
+  /// bit-identical temperatures to a kExplicit step(); kept as the
   /// equivalence-test oracle and the perf-bench baseline.
   void step_reference(Time dt);
 
-  /// Sub-steps step()/step_reference() perform for a given dt.  Throws
-  /// ConfigError (never silently loops) when the count would exceed
-  /// kMaxTransientSubsteps -- see StackNetwork::substeps_for.
+  /// Sub-steps one step(dt) performs.  kExplicit: the stable-dt count
+  /// (StackNetwork::substeps_for).  kAdi: ceil(dt / (stable_dt *
+  /// adi_dt_factor)), minimum 1.  Either way throws ConfigError (never
+  /// silently loops) when the count would exceed kMaxTransientSubsteps.
   [[nodiscard]] std::size_t substeps_for(Time dt) const;
 
-  /// The compiled stencil network (read-only; BatchStackModel shares the
-  /// same construction path).
-  [[nodiscard]] const StackNetwork& network() const { return net_; }
+  /// The compiled stencil network (read-only, shared by copies).
+  [[nodiscard]] const StackNetwork& network() const { return *net_; }
 
   /// Reset all temperatures to ambient.
   void reset_to_ambient();
@@ -196,7 +228,7 @@ class StackModel {
   [[nodiscard]] std::vector<double> layer_field(std::size_t layer) const;
 
   /// Largest stable explicit-Euler step for the current conductances.
-  [[nodiscard]] Time stable_step() const { return net_.stable_dt; }
+  [[nodiscard]] Time stable_step() const { return net_->stable_dt; }
 
  private:
   /// Per-layer reductions, computed lazily in one pass over the field.
@@ -216,14 +248,19 @@ class StackModel {
   [[nodiscard]] const std::vector<LayerStat>& stats() const;
   void mark_temps_changed() { stats_dirty_ = true; }
 
+  void explicit_substeps(double h, std::size_t n_sub);
+  void adi_substeps(double h, std::size_t n_sub);
+
   StackSpec spec_;
+  TransientOptions opt_;
   std::size_t n_cells_{0};
   std::size_t n_nodes_{0};  // layer cells; sink node handled separately
 
   // Temperatures in Kelvin, ghost-padded: [n_cells ghosts][n_nodes][n_cells
   // ghosts].  Ghost entries hold ambient, are never written, and are only
-  // ever multiplied by zero conductances.  `scratch_` has the same shape and
-  // is the persistent double-buffer partner the transient sweep swaps with.
+  // ever multiplied by zero conductances.  `scratch_` has the same shape: the
+  // persistent double-buffer partner the explicit sweep swaps with, and the
+  // ADI Thomas forward-sweep store.
   std::vector<double> temp_;
   std::vector<double> scratch_;
   double sink_temp_k_{0.0};
@@ -232,8 +269,29 @@ class StackModel {
   std::vector<double> power_w_;
 
   // The compiled stencil: conductance tables, capacities, sink coupling and
-  // the stable step, shared by construction with BatchStackModel.
-  StackNetwork net_;
+  // the stable step.  Immutable, so copies share it.
+  std::shared_ptr<const StackNetwork> net_;
+
+  // ADI factorizations (kAdi only; sized at construction), recomputed in
+  // place whenever the substep length changes.  Cell geometry and material
+  // are uniform within a layer, so one factorization per (layer, direction)
+  // covers every row and column: Thomas coefficients along x and y, one
+  // column factorization along z, per-layer cap/h and link conductances,
+  // and the sink-update denominator.
+  struct AdiPlan {
+    double h{0.0};  // substep the plan was built for; 0 = unbuilt
+    std::vector<double> cp_x, inv_x;  // [layer][x]
+    std::vector<double> cp_y, inv_y;  // [layer][y]
+    std::vector<double> cp_z, inv_z;  // [layer]
+    std::vector<double> rc;           // [layer] cap/h
+    std::vector<double> gx, gy;       // [layer] lateral link conductance
+    std::vector<double> gu;           // [layer] layer -> layer+1 link (0 at top)
+    double sink_rc{0.0};
+    double inv_sink_den{0.0};
+
+    void factor(const StackNetwork& net, const StackSpec& spec, double h);
+  };
+  AdiPlan adi_;
 
   // Solve history for the kWarmScaled extrapolation: the converged fields
   // and total dissipated watts of the last two steady solves.  watts <= 0

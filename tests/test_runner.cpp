@@ -222,6 +222,40 @@ TEST_F(RunnerFixture, RunSweepRejectsSweepBatchOtherThanOne) {
   }
 }
 
+TEST_F(RunnerFixture, SweepErrorNamesLowestFailingExperimentAtAnyJobs) {
+  // Two of four experiments cannot finish in 1 ns of simulated time.  The
+  // sweep must report the lower-index one, named, as the ConfigError the
+  // CLIs map to exit code 2, whichever worker fails first in wall time.
+  std::vector<Experiment> exps(4);
+  const char* workloads[] = {"dc", "kcore", "pagerank", "bfs-ta"};
+  for (std::size_t i = 0; i < exps.size(); ++i) {
+    exps[i].workload = workloads[i];
+    exps[i].config.scenario = sys::Scenario::kCoolPimHw;
+  }
+  exps[1].config.max_time = Time::ns(1);
+  exps[3].config.max_time = Time::ns(1);
+
+  std::vector<std::string> messages;
+  for (const unsigned jobs : {1u, 8u}) {
+    RunOptions opt;
+    opt.jobs = jobs;
+    opt.use_cache = false;
+    try {
+      (void)run_sweep(set(), exps, opt);
+      ADD_FAILURE() << "sweep with failing experiments returned at jobs " << jobs;
+    } catch (const ConfigError& e) {
+      messages.emplace_back(e.what());
+    }
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0], messages[1]);
+  const std::string want_prefix =
+      "config: experiment kcore under " + std::string{sys::to_string(sys::Scenario::kCoolPimHw)} +
+      ": ";
+  EXPECT_EQ(messages[0].rfind(want_prefix, 0), 0u) << messages[0];
+  EXPECT_NE(messages[0].find("run exceeded max_time"), std::string::npos) << messages[0];
+}
+
 TEST_F(RunnerFixture, CacheServesRepeatRuns) {
   clear_result_cache();
   const auto first = run_one(set(), "dc", sys::Scenario::kCoolPimHw);

@@ -32,7 +32,7 @@ NUM = (int, float)
 # schema tag -> {key path: expected type(s)}.  A trailing "[]" walks every
 # element of an array.
 SCHEMAS = {
-    "coolpim-bench-thermal/3": {
+    "coolpim-bench-thermal/4": {
         "quick": bool,
         "transient.nodes": NUM,
         "transient.substeps_per_step": NUM,
@@ -48,16 +48,6 @@ SCHEMAS = {
         "steady.iteration_reduction": NUM,
         "steady.cold_ms": NUM,
         "steady.warm_ms": NUM,
-        "batch.nodes": NUM,
-        "batch.substeps_per_step": NUM,
-        "batch.b1_ns_per_lane_cell_substep": NUM,
-        "batch.b1_vs_scalar": NUM,
-        "batch.b8_ns_per_lane_cell_substep": NUM,
-        "batch.b8_vs_scalar": NUM,
-        "batch.b64_ns_per_lane_cell_substep": NUM,
-        "batch.b64_vs_scalar": NUM,
-        "batch.speedup_b64_vs_b1": NUM,
-        "batch.bit_identical": bool,
         "tall_stack.layers": NUM,
         "tall_stack.nodes": NUM,
         "tall_stack.explicit_stable_dt_us": NUM,
@@ -230,16 +220,9 @@ SCHEMAS = {
 # they swing with machine load and scale flags; rates and speedup ratios are
 # the stable signal.
 THROUGHPUT_KEYS = {
-    "coolpim-bench-thermal/3": [
+    "coolpim-bench-thermal/4": [
         "transient.speedup",
         "steady.iteration_reduction",
-        # Batched kernel speed over the scalar fast kernel timed in the same
-        # run: absolute rates would compare this machine with the one that
-        # recorded the baseline.
-        "batch.b1_vs_scalar",
-        "batch.b8_vs_scalar",
-        "batch.b64_vs_scalar",
-        "batch.speedup_b64_vs_b1",
         "tall_stack.speedup",
     ],
     "coolpim-bench-graph/2": [

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 #include "fleet/fleet.hpp"
@@ -104,9 +105,7 @@ std::vector<fleet::ServiceProfile> measured_profiles(const CliOptions& opt) {
   return fleet::profiles_from_runs(runner::run_sweep(set, experiments, run_opt), kIdleC);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   CliOptions opt;
   try {
     sys::RunConfig rc = sys::RunConfig::resolve(&argc, argv);
@@ -193,4 +192,10 @@ int main(int argc, char** argv) {
     std::cout << "Counter CSV written to " << opt.rc.counters_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

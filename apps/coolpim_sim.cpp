@@ -34,6 +34,7 @@
 
 #include <fstream>
 
+#include "common/main.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
 #include "obs/observer.hpp"
@@ -74,6 +75,19 @@ struct CliOptions {
   std::exit(msg ? 2 : 0);
 }
 
+/// Names are checked here, before the graph and profiles are built.
+std::vector<std::string> parse_workloads(const std::string& s) {
+  if (s == "all") return sys::workload_names();
+  std::string valid;
+  for (const auto* names : {&sys::workload_names(), &sys::extended_workload_names()}) {
+    for (const auto& name : *names) {
+      if (name == s) return {s};
+      valid += name + ", ";
+    }
+  }
+  usage(("unknown workload: " + s + " (valid: " + valid + "all)").c_str());
+}
+
 std::vector<sys::Scenario> parse_scenarios(const std::string& s) {
   if (s == "all") return {std::begin(sys::kAllScenarios), std::end(sys::kAllScenarios)};
   if (s == "baseline") return {sys::Scenario::kNonOffloading};
@@ -84,7 +98,10 @@ std::vector<sys::Scenario> parse_scenarios(const std::string& s) {
   if (s == "bw-throttle") return {sys::Scenario::kBwThrottle};
   if (s == "mpc") return {sys::Scenario::kMpc};
   if (s == "policy-table") return {sys::Scenario::kPolicyTable};
-  usage(("unknown scenario: " + s).c_str());
+  usage(("unknown scenario: " + s +
+         " (valid: baseline, naive, coolpim-sw, coolpim-hw, ideal, bw-throttle, mpc, "
+         "policy-table, all)")
+            .c_str());
 }
 
 power::CoolingType parse_cooling(const std::string& s) {
@@ -92,7 +109,7 @@ power::CoolingType parse_cooling(const std::string& s) {
   if (s == "low-end") return power::CoolingType::kLowEndActive;
   if (s == "commodity") return power::CoolingType::kCommodityServer;
   if (s == "high-end") return power::CoolingType::kHighEndActive;
-  usage(("unknown cooling: " + s).c_str());
+  usage(("unknown cooling: " + s + " (valid: passive, low-end, commodity, high-end)").c_str());
 }
 
 CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
@@ -106,12 +123,7 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") usage();
     else if (arg == "--workload") {
-      const std::string v = need_value(i);
-      if (v == "all") {
-        opt.workloads = sys::workload_names();
-      } else {
-        opt.workloads = {v};
-      }
+      opt.workloads = parse_workloads(need_value(i));
     } else if (arg == "--scenario") {
       opt.scenarios = parse_scenarios(need_value(i));
     } else if (arg == "--seed") {
@@ -260,10 +272,5 @@ int main(int argc, char** argv) {
   // A configuration the run itself rejects -- a malformed --policy-table
   // CSV, a run that exceeds max_time -- exits 2 like a bad flag, never
   // through std::terminate.
-  try {
-    return run(opt);
-  } catch (const ConfigError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  return run_main([&] { return run(opt); });
 }

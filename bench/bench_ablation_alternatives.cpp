@@ -5,6 +5,7 @@
 
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 #include "support.hpp"
 
@@ -52,9 +53,11 @@ BENCHMARK(BM_BwThrottleRun)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_alternatives();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_alternatives();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

@@ -5,6 +5,7 @@
 
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 
 #include "support.hpp"
@@ -59,9 +60,11 @@ BENCHMARK(BM_ExtendedRun)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_extended();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_extended();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 
 #include "support.hpp"
@@ -94,9 +95,11 @@ BENCHMARK(BM_Fig3SteadySweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_fig3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_fig3();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

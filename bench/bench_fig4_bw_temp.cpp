@@ -4,6 +4,7 @@
 
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 
 #include "support.hpp"
@@ -69,9 +70,11 @@ BENCHMARK(BM_Fig4Sweep)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_fig4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_fig4();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
 #include "fleet/fleet.hpp"
 
 #include "perf_support.hpp"
@@ -97,9 +98,8 @@ struct BalancerRun {
   double wall_ms{0.0};
 };
 
-}  // namespace
 
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_fleet.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
 
@@ -222,4 +222,10 @@ int main(int argc, char** argv) {
             << (pass ? "PASS" : "FAIL") << "\n"
             << "Results written to " << out << "\n";
   return pass ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 
 #include "support.hpp"
@@ -79,10 +80,12 @@ BENCHMARK(BM_DetailedWarps)->Arg(16)->Arg(256)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_occupancy_roofline();
-  print_pim_throughput();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_occupancy_roofline();
+    print_pim_throughput();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

@@ -1,26 +1,26 @@
 // Extension: CoolPIM on multi-cube systems (the prototype platform carries
-// up to six modules).  Sweeps cube count and hub-traffic skew.
+// up to six modules).  Sweeps cube count and hub-traffic skew through the
+// one epoch loop (SystemConfig::cubes / atomic_skew), so the 1-cube row is
+// the single-cube simulator's own result.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 #include "support.hpp"
-#include "sys/multi_cube.hpp"
 
 using namespace coolpim;
 using namespace coolpim::bench;
 
 namespace {
 
-sys::MultiCubeResult run_cubes(std::size_t cubes, double skew, sys::Scenario scenario,
-                               const std::string& workload = "dc") {
-  sys::MultiCubeConfig cfg;
+sys::RunResult run_cubes(std::size_t cubes, double skew, sys::Scenario scenario,
+                         const std::string& workload = "dc") {
+  sys::SystemConfig cfg;
   cfg.cubes = cubes;
   cfg.atomic_skew = skew;
-  cfg.base.scenario = scenario;
-  sys::MultiCubeSystem system{cfg};
-  return system.run(workloads().profile(workload));
+  return run_one(workload, scenario, cfg);
 }
 
 void print_scaling() {
@@ -32,10 +32,9 @@ void print_scaling() {
     const auto naive = run_cubes(n, balanced, sys::Scenario::kNaiveOffloading);
     const auto hw = run_cubes(n, balanced, sys::Scenario::kCoolPimHw);
     const auto ideal = run_cubes(n, balanced, sys::Scenario::kIdealThermal);
-    t.row({std::to_string(n), Table::num(naive.aggregate.exec_time.as_ms(), 2),
-           Table::num(hw.aggregate.exec_time.as_ms(), 2),
-           Table::num(ideal.aggregate.exec_time.as_ms(), 2),
-           Table::num(naive.aggregate.peak_dram_temp.value(), 1)});
+    t.row({std::to_string(n), Table::num(naive.exec_time.as_ms(), 2),
+           Table::num(hw.exec_time.as_ms(), 2), Table::num(ideal.exec_time.as_ms(), 2),
+           Table::num(naive.peak_dram_temp.value(), 1)});
   }
   t.print(std::cout);
   std::cout << "Striping across cubes divides the per-cube load: with enough cubes even\n"
@@ -53,13 +52,12 @@ void print_skew() {
          {sys::Scenario::kNaiveOffloading, sys::Scenario::kCoolPimHw}) {
       const auto r = run_cubes(2, skew, scenario, "pagerank");
       double lo = 1e9, hi = -1e9;
-      for (const auto& temp : r.final_dram_temps) {
-        lo = std::min(lo, temp.value());
-        hi = std::max(hi, temp.value());
+      for (const auto& cube : r.cubes) {
+        lo = std::min(lo, cube.final_dram_temp.value());
+        hi = std::max(hi, cube.final_dram_temp.value());
       }
-      t.row({Table::num(skew, 2), r.aggregate.scenario,
-             Table::num(r.aggregate.exec_time.as_ms(), 2), Table::num(hi, 1),
-             Table::num(lo, 1)});
+      t.row({Table::num(skew, 2), r.scenario, Table::num(r.exec_time.as_ms(), 2),
+             Table::num(hi, 1), Table::num(lo, 1)});
     }
   }
   t.print(std::cout);
@@ -69,23 +67,25 @@ void print_skew() {
 }
 
 void BM_MultiCubeRun(benchmark::State& state) {
-  (void)workloads();
-  const auto cubes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_cubes(cubes, 1.0 / static_cast<double>(cubes), sys::Scenario::kCoolPimHw)
-            .aggregate.exec_time);
-  }
+  // System::run directly: the runner's result cache would time a lookup.
+  sys::SystemConfig cfg;
+  cfg.cubes = static_cast<std::size_t>(state.range(0));
+  cfg.atomic_skew = 1.0 / static_cast<double>(cfg.cubes);
+  sys::System system{cfg};
+  const auto& profile = workloads().profile("dc");
+  for (auto _ : state) benchmark::DoNotOptimize(system.run(profile).exec_time);
 }
 BENCHMARK(BM_MultiCubeRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_scaling();
-  print_skew();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_scaling();
+    print_skew();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "control/registry.hpp"
 #include "runner/experiment.hpp"
 #include "sys/system.hpp"
@@ -52,13 +54,12 @@ struct PolicyAggregate {
   std::uint64_t total_warnings{0};
 };
 
-}  // namespace
 
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_pareto.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
   const unsigned scale = static_cast<unsigned>(
-      std::stoi(bench::arg_value(argc, argv, "--scale", "16")));
+      parse_u64("--scale", bench::arg_value(argc, argv, "--scale", "16").c_str(), 24));
 
   const std::vector<std::string> workloads =
       quick ? std::vector<std::string>{"dc", "pagerank", "sssp-dwc"} : sys::workload_names();
@@ -204,4 +205,10 @@ int main(int argc, char** argv) {
             << reactive.geomean_speedup << " -> " << (pass ? "PASS" : "FAIL") << "\n"
             << "Results written to " << out << "\n";
   return pass ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

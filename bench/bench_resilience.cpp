@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "runner/experiment.hpp"
 #include "sys/system.hpp"
 
@@ -61,13 +63,11 @@ SweepRun to_run(const sys::RunResult& r, const sys::SystemConfig& cfg) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_resilience.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
   const unsigned scale = static_cast<unsigned>(
-      std::stoi(bench::arg_value(argc, argv, "--scale", "16")));
+      parse_u64("--scale", bench::arg_value(argc, argv, "--scale", "16").c_str(), 24));
 
   const std::vector<double> drops = quick
                                         ? std::vector<double>{0.0, 0.5, 1.0}
@@ -181,4 +181,10 @@ int main(int argc, char** argv) {
             << (pass ? "PASS" : "FAIL") << "\n"
             << "Results written to " << out << "\n";
   return pass ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

@@ -5,6 +5,7 @@
 
 #include <iostream>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 
 #include "support.hpp"
@@ -57,9 +58,11 @@ BENCHMARK_CAPTURE(BM_DeviceTransaction, pim_with_return, hmc::TransactionType::k
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
-  print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return coolpim::run_main([&] {
+    coolpim::bench::init_observability(&argc, argv);
+    print_table1();
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+    return 0;
+  });
 }

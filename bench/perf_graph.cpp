@@ -35,6 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "gpu/cache.hpp"
 #include "gpu/characterize.hpp"
@@ -127,15 +129,13 @@ HitModelCase time_hit_model(std::string regime, std::uint64_t footprint_bytes,
   return c;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_graph.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
-  const unsigned scale = static_cast<unsigned>(
-      std::stoi(bench::arg_value(argc, argv, "--scale", quick ? "12" : "16")));
-  unsigned jobs = static_cast<unsigned>(
-      std::stoi(bench::arg_value(argc, argv, "--jobs", "0")));
+  const std::string scale_arg = bench::arg_value(argc, argv, "--scale", quick ? "12" : "16");
+  const auto scale = static_cast<unsigned>(parse_u64("--scale", scale_arg.c_str(), 24));
+  const std::string jobs_arg = bench::arg_value(argc, argv, "--jobs", "0");
+  auto jobs = static_cast<unsigned>(parse_u64("--jobs", jobs_arg.c_str(), runner::Pool::kMaxJobs));
   if (jobs == 0) jobs = runner::Pool::default_jobs();
   const std::uint64_t seed = 1;
 
@@ -268,4 +268,10 @@ int main(int argc, char** argv) {
   std::cout << "Results written to " << out << "\n";
   // The equivalence checks are the whole point; fail loudly if they break.
   return (match && warm_all_hits && csr_match && hit_gate) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

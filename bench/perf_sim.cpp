@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "hmc/backend.hpp"
 #include "pim/programs.hpp"
 #include "pim/xval.hpp"
@@ -207,13 +209,11 @@ BackendResult measure_backends(bool quick) {
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_sim.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
-  const unsigned scale = static_cast<unsigned>(
-      std::stoi(bench::arg_value(argc, argv, "--scale", quick ? "10" : "16")));
+  const std::string scale_arg = bench::arg_value(argc, argv, "--scale", quick ? "10" : "16");
+  const auto scale = static_cast<unsigned>(parse_u64("--scale", scale_arg.c_str(), 24));
   const std::uint64_t queue_events = quick ? 100'000 : 2'000'000;
   const std::size_t n_workloads = quick ? 1 : 2;
 
@@ -303,4 +303,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

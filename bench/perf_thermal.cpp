@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
 #include "hmc/config.hpp"
 #include "power/cooling.hpp"
 #include "power/energy_model.hpp"
@@ -279,9 +280,7 @@ TallStackResult measure_tall_stack(bool quick) {
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string out = bench::arg_value(argc, argv, "--out", "BENCH_thermal.json");
   const bool quick = bench::arg_flag(argc, argv, "--quick");
 
@@ -341,4 +340,10 @@ int main(int argc, char** argv) {
             << ")\n"
             << "Results written to " << out << "\n";
   return (t.bit_identical && tall.within_tolerance) ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "graph/generator.hpp"
 #include "graph/reference.hpp"
@@ -19,14 +21,18 @@
 using namespace coolpim;
 using namespace coolpim::graph;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_tool(int argc, char** argv) {
   // COOLPIM_* environment over the example's defaults; positional args win.
   sys::RunConfig rc;
   rc.scale = 16;
   rc = sys::RunConfig::from_env(rc);
-  const unsigned scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : rc.scale;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : rc.graph_seed;
+  if (argc > 1) rc.scale = static_cast<unsigned>(parse_u64("rmat-scale", argv[1], 24));
+  if (argc > 2) rc.graph_seed = parse_u64("seed", argv[2]);
+  rc.validate();
+  const unsigned scale = rc.scale;
+  const std::uint64_t seed = rc.graph_seed;
 
   const CsrGraph g = make_ldbc_like(scale, seed);
   const VertexId hub = g.max_degree_vertex();
@@ -91,4 +97,10 @@ int main(int argc, char** argv) {
             << static_cast<VertexId>(top - ranks.begin()) << " with score "
             << Table::num(*top * 1e3, 3) << "e-3.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

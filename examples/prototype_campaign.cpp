@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
 #include "common/table.hpp"
 #include "hmc/config.hpp"
 #include "hmc/link_model.hpp"
@@ -109,9 +110,7 @@ void run_campaign(power::CoolingType sink, std::ostream& out) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   const std::string sink_name = argc > 1 ? argv[1] : "passive";
   if (sink_name == "all") {
     const std::vector<power::CoolingType> sinks{power::CoolingType::kPassive,
@@ -136,4 +135,10 @@ int main(int argc, char** argv) {
   }
   run_campaign(sink, std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

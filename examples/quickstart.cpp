@@ -5,22 +5,27 @@
 //
 // Builds an LDBC-like social graph, profiles the PageRank GPU kernels, and
 // runs them under four system configurations.
-#include <cstdlib>
 #include <iostream>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sys/run_config.hpp"
 #include "sys/system.hpp"
 
 using namespace coolpim;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_tool(int argc, char** argv) {
   // COOLPIM_* environment over the example's defaults; the positional
   // argument still wins over both.
   sys::RunConfig rc;
   rc.scale = 17;
   rc = sys::RunConfig::from_env(rc);
-  const unsigned scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : rc.scale;
+  if (argc > 1) rc.scale = static_cast<unsigned>(parse_u64("rmat-scale", argv[1], 24));
+  rc.validate();
+  const unsigned scale = rc.scale;
 
   std::cout << "CoolPIM quickstart: PageRank on a 2^" << scale
             << "-vertex LDBC-like graph, GPU + HMC 2.0, commodity-server cooling\n";
@@ -55,4 +60,10 @@ int main(int argc, char** argv) {
                "little or no speedup); CoolPIM throttles the offloading rate at the source\n"
                "and keeps the DRAM in its normal range -- and ends up faster.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "hmc/config.hpp"
 #include "hmc/link_model.hpp"
@@ -36,11 +38,10 @@ power::OperatingPoint operating_point(const hmc::LinkModel& link, double data_gb
   return op;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const double data_gbps = argc > 1 ? std::atof(argv[1]) : 200.0;
-  const double pim_rate = argc > 2 ? std::atof(argv[2]) : 1.0;
+int run_tool(int argc, char** argv) {
+  const double data_gbps = argc > 1 ? parse_double("data-GB/s", argv[1]) : 200.0;
+  const double pim_rate = argc > 2 ? parse_double("pim-op-per-ns", argv[2]) : 1.0;
+  COOLPIM_REQUIRE(data_gbps >= 0.0 && pim_rate >= 0.0, "loads must be non-negative");
 
   const hmc::LinkModel link{hmc::hmc20_config()};
   const power::EnergyParams energy;
@@ -108,4 +109,10 @@ int main(int argc, char** argv) {
   for (auto& row : budget_rows) budget.row(std::move(row));
   budget.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

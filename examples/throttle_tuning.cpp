@@ -10,6 +10,8 @@
 #include <iostream>
 #include <string>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "runner/experiment.hpp"
 #include "sys/run_config.hpp"
@@ -31,15 +33,15 @@ runner::Experiment transient(const std::string& workload, sys::Scenario scenario
   return e;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_tool(int argc, char** argv) {
   // COOLPIM_* environment over the example's defaults; positional args win.
   sys::RunConfig rc;
   rc.scale = 17;
   rc = sys::RunConfig::from_env(rc);
   const std::string workload = argc > 1 ? argv[1] : "pagerank";
-  const unsigned scale = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : rc.scale;
+  if (argc > 2) rc.scale = static_cast<unsigned>(parse_u64("rmat-scale", argv[2], 24));
+  rc.validate();
+  const unsigned scale = rc.scale;
 
   std::cout << "Throttle tuning on '" << workload << "' (scale " << scale << ")\n";
   const sys::WorkloadSet set{scale, rc.graph_seed, false, rc.build_options()};
@@ -98,4 +100,10 @@ int main(int argc, char** argv) {
                "larger steps cool down faster but risk settling below the thermal budget\n"
                "(lost offloading benefit); smaller steps track the budget tighter.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

@@ -98,6 +98,41 @@ struct OpDelta {
   std::uint64_t pim_ops{0};
 };
 
+/// Exact op totals plus their integer emission.  Each drain() emits
+/// round(total) - emitted-so-far per class, so the sum of every drain equals
+/// the single rounding of the exact total -- no per-epoch rounding drift.
+class OpTally {
+ public:
+  void add(const EpochService& s) {
+    totals_.reads += s.reads;
+    totals_.writes += s.writes;
+    totals_.pim_ops += s.pim_ops;
+  }
+
+  [[nodiscard]] const OpAccounting& totals() const { return totals_; }
+
+  [[nodiscard]] OpDelta drain() {
+    OpDelta d;
+    d.reads = drain_one(totals_.reads, emitted_reads_);
+    d.writes = drain_one(totals_.writes, emitted_writes_);
+    d.pim_ops = drain_one(totals_.pim_ops, emitted_pim_ops_);
+    return d;
+  }
+
+ private:
+  static std::uint64_t drain_one(double total, std::uint64_t& emitted) {
+    const auto rounded = static_cast<std::uint64_t>(total + 0.5);
+    const std::uint64_t delta = rounded - emitted;
+    emitted = rounded;
+    return delta;
+  }
+
+  OpAccounting totals_{};
+  std::uint64_t emitted_reads_{0};
+  std::uint64_t emitted_writes_{0};
+  std::uint64_t emitted_pim_ops_{0};
+};
+
 /// Bandwidths the power model charges for a served transaction mix.
 struct ThermalPower {
   Bandwidth link_raw;
@@ -120,9 +155,7 @@ class Backend {
   [[nodiscard]] EpochService serve(const EpochDemand& demand, Time epoch,
                                    Celsius dram_temp) {
     const EpochService s = do_serve(demand, epoch, dram_temp);
-    ops_.reads += s.reads;
-    ops_.writes += s.writes;
-    ops_.pim_ops += s.pim_ops;
+    ops_.add(s);
     return s;
   }
 
@@ -137,18 +170,10 @@ class Backend {
   }
 
   /// Op-accounting hook: exact totals since construction.
-  [[nodiscard]] const OpAccounting& ops() const { return ops_; }
+  [[nodiscard]] const OpAccounting& ops() const { return ops_.totals(); }
 
-  /// Integer ops since the previous drain.  Each class emits
-  /// round(total) - emitted-so-far, so the sum of every drain equals the
-  /// single rounding of the exact total -- no per-epoch rounding drift.
-  [[nodiscard]] OpDelta drain_op_delta() {
-    OpDelta d;
-    d.reads = drain_one(ops_.reads, emitted_reads_);
-    d.writes = drain_one(ops_.writes, emitted_writes_);
-    d.pim_ops = drain_one(ops_.pim_ops, emitted_pim_ops_);
-    return d;
-  }
+  /// Integer ops since the previous drain (OpTally's residual carry).
+  [[nodiscard]] OpDelta drain_op_delta() { return ops_.drain(); }
 
   /// Observability attach point; read-only, null by default.
   virtual void set_observer(obs::Trace /*trace*/, obs::CounterRegistry* /*counters*/) {}
@@ -158,17 +183,7 @@ class Backend {
                                               Celsius dram_temp) = 0;
 
  private:
-  static std::uint64_t drain_one(double total, std::uint64_t& emitted) {
-    const auto rounded = static_cast<std::uint64_t>(total + 0.5);
-    const std::uint64_t delta = rounded - emitted;
-    emitted = rounded;
-    return delta;
-  }
-
-  OpAccounting ops_{};
-  std::uint64_t emitted_reads_{0};
-  std::uint64_t emitted_writes_{0};
-  std::uint64_t emitted_pim_ops_{0};
+  OpTally ops_{};
 };
 
 /// The analytic epoch model refitted under the contract.  serve() forwards

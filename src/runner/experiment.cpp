@@ -212,6 +212,12 @@ std::uint64_t config_hash(const sys::SystemConfig& cfg) {
     h.add(true);
     h.add(cfg.backend);
   }
+  // Cube count and hub skew: hashed only off the single-cube default (skew
+  // has no effect there), so every single-cube key stays valid.
+  if (cfg.cubes != 1) {
+    h.add(true);
+    h.add(static_cast<std::uint64_t>(cfg.cubes)).add(cfg.atomic_skew);
+  }
   return h.digest();
 }
 

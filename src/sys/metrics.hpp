@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/timeseries.hpp"
 #include "common/units.hpp"
@@ -25,6 +26,14 @@ struct FaultSummary {
   std::uint64_t link_outages{0};
   std::uint64_t watchdog_engagements{0};
   std::uint64_t watchdog_disengagements{0};
+};
+
+/// One HMC cube's share of a run (RunResult::cubes, one entry per cube).
+struct CubeResult {
+  Celsius peak_dram_temp{0.0};   // measured pass (ambient under ideal thermal)
+  Celsius final_dram_temp{0.0};  // at run end
+  double pim_share{0.0};         // fraction of the measured pass's PIM ops
+  double pim_ops{0.0};           // exact PIM ops served over the measured pass
 };
 
 struct RunResult {
@@ -50,6 +59,9 @@ struct RunResult {
   std::uint64_t thermal_warnings{0};
   bool shut_down{false};
   Time time_above_normal{Time::zero()};  // time spent derated (> 85 C)
+
+  // Per cube, in cube order; not part of the CSV report schema.
+  std::vector<CubeResult> cubes;
 
   // Fault injection / resilience (inactive on the fault-free path).
   FaultSummary faults{};

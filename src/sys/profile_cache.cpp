@@ -86,11 +86,19 @@ class Reader {
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
   std::size_t pos_{0};
 };
+
+// Smallest encodings: an iteration record is 10 fixed 8-byte fields; a
+// profile is its fixed header (empty name) with no iterations.  A count whose
+// minimum encoding exceeds the bytes left is rejected before resizing, so a
+// hash-valid but hand-made blob cannot request a huge allocation.
+constexpr std::size_t kIterationBytes = 10 * 8;
+constexpr std::size_t kMinProfileBytes = 4 + 3 * 1 + 4 + 3 * 8;
 
 void write_profile(Writer& w, const graph::WorkloadProfile& p) {
   w.str(p.name);
@@ -127,9 +135,7 @@ bool read_profile(Reader& r, graph::WorkloadProfile& p) {
   p.driver = static_cast<graph::Driver>(driver);
   p.parallelism = static_cast<graph::Parallelism>(parallelism);
   p.atomic_kind = static_cast<hmc::PimOpcode>(atomic);
-  // An iteration record is 10 fixed 8-byte fields; reject counts the
-  // remaining bytes cannot possibly hold before resizing.
-  if (iters > (1ull << 32)) return false;
+  if (iters > r.remaining() / kIterationBytes) return false;
   p.iterations.resize(iters);
   for (auto& it : p.iterations) {
     if (!r.u64(it.scanned_vertices) || !r.u64(it.active_vertices) ||
@@ -218,6 +224,7 @@ bool load_profiles(const std::string& dir, std::uint64_t key,
   std::uint64_t stored_key = 0;
   if (!r.u32(version) || !r.u64(stored_key) || !r.u32(count)) return false;
   if (version != kProfileFormatVersion || stored_key != key) return false;
+  if (count > r.remaining() / kMinProfileBytes) return false;
 
   out.resize(count);
   for (auto& p : out) {

@@ -11,10 +11,12 @@ System::System(SystemConfig cfg) : cfg_{std::move(cfg)} {
 
 RunResult System::run(const graph::WorkloadProfile& workload) {
   // The driver of the resumable run (sys/system_run.hpp): every yield is
-  // answered with an immediate thermal step, which executes the exact
-  // statement sequence of the pre-split monolithic epoch loop.
+  // answered with an immediate thermal step of every cube, which at one cube
+  // executes the exact statement sequence of the pre-split monolithic loop.
   SystemRun run{cfg_, workload};
-  while (run.advance()) run.thermal().step(run.pending_dt());
+  while (run.advance()) {
+    for (std::size_t c = 0; c < run.cube_count(); ++c) run.thermal(c).step(run.pending_dt());
+  }
   return run.take_result();
 }
 

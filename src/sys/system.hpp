@@ -1,5 +1,6 @@
 // Full-system epoch-coupled model: GPU <-> HMC <-> power <-> thermal <->
 // CoolPIM feedback loop (paper Fig. 6 and Section V-A infrastructure).
+// One GPU drives `cubes` HMC stacks; the feedback loop senses the hottest.
 //
 // The simulation advances in ~10 us epochs.  Each epoch the GPU engine
 // offers transaction demand, the HMC throughput model resolves what it can
@@ -13,6 +14,7 @@
 // repeated warm-up executions of the same workload.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <memory>
 
@@ -58,6 +60,14 @@ struct SystemConfig {
   /// keeps its key and golden results).
   control::MpcConfig mpc{};
   control::PolicyTableConfig policy_table{};
+
+  /// HMC cubes behind the GPU (1..8; the prototype platform carries up to
+  /// six).  Regular traffic stripes evenly across them; PIM traffic follows
+  /// `atomic_skew`.  Hashed into the experiment key only when != 1.
+  std::size_t cubes{1};
+  /// Fraction of PIM traffic landing on cube 0 (power-law hubs); the other
+  /// cubes split the rest evenly.  1/cubes = balanced.  Unused at 1 cube.
+  double atomic_skew{0.5};
 
   Time epoch{Time::us(10.0)};
   Time warmup_epoch{Time::us(50.0)};

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "control/registry.hpp"
 #include "hmc/link_model.hpp"
 #include "hmc/packet.hpp"
@@ -13,9 +14,13 @@ namespace coolpim::sys {
 
 namespace {
 
+/// Salt for cube i > 0's backend seed; cube 0 keeps run_seed, so a one-cube
+/// run draws exactly the stream it always has.
+constexpr std::uint64_t kCubeSeedSalt = 0xc0be'5eed'0000'0001ULL;
+
 std::unique_ptr<control::Policy> make_controller(const SystemConfig& cfg,
                                                  const graph::WorkloadProfile& workload,
-                                                 const hmc::LinkModel& link,
+                                                 double link_flits_per_sec,
                                                  double naive_rate_estimate) {
   control::PolicyBuild build;
   build.scenario = cfg.scenario;
@@ -27,7 +32,7 @@ std::unique_ptr<control::Policy> make_controller(const SystemConfig& cfg,
   build.sw.eq1.margin_blocks = cfg.eq1_margin_blocks;
   // Peak PIM rate: the link FLIT budget divided by 3 FLITs per op.
   build.sw.eq1.pim_peak_rate_op_per_ns =
-      link.flits_per_sec() / hmc::flit_cost(hmc::TransactionType::kPimNoReturn).total() * 1e-9;
+      link_flits_per_sec / hmc::flit_cost(hmc::TransactionType::kPimNoReturn).total() * 1e-9;
   build.sw.eq1.estimated_naive_rate_op_per_ns = naive_rate_estimate;
   build.hw.max_warps_per_sm = static_cast<std::uint32_t>(cfg.gpu.max_warps_per_sm);
   build.hw.control_factor = cfg.hw_control_factor;
@@ -36,14 +41,33 @@ std::unique_ptr<control::Policy> make_controller(const SystemConfig& cfg,
   return control::make_policy(build);
 }
 
+/// Cube's share of a demand: regular traffic and PIM traffic scale apart.
+hmc::EpochDemand share_of(hmc::EpochDemand demand, double regular, double pim) {
+  demand.reads *= regular;
+  demand.writes *= regular;
+  demand.pim_ops *= pim;
+  return demand;
+}
+
 }  // namespace
 
 SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
-    : cfg_{std::move(cfg)},
-      backend_{hmc::make_backend(
-          hmc::BackendBuild{cfg_.backend, cfg_.hmc, cfg_.policy, cfg_.run_seed, {}})},
-      therm_{thermal::hmc20_thermal_config(cfg_.cooling)} {
+    : cfg_{std::move(cfg)} {
   COOLPIM_REQUIRE(workload.graph_vertices > 0, "workload missing graph metadata");
+  COOLPIM_REQUIRE(cfg_.cubes >= 1 && cfg_.cubes <= 8, "1..8 cubes supported");
+  COOLPIM_REQUIRE(cfg_.atomic_skew >= 0.0 && cfg_.atomic_skew <= 1.0,
+                  "atomic_skew must be a fraction");
+  const std::size_t n = cfg_.cubes;
+  const double cubes = static_cast<double>(n);
+  auto make_cube_backend = [&](std::size_t i) {
+    const std::uint64_t seed =
+        i == 0 ? cfg_.run_seed : mix_seed(cfg_.run_seed ^ (kCubeSeedSalt * i));
+    return hmc::make_backend(hmc::BackendBuild{cfg_.backend, cfg_.hmc, cfg_.policy, seed, {}});
+  };
+  cubes_.reserve(n);
+  cubes_.push_back(Cube{make_cube_backend(0),
+                        thermal::HmcThermalModel{thermal::hmc20_thermal_config(cfg_.cooling)}});
+  thermal::HmcThermalModel& therm = cubes_[0].therm;
 
   // Observability: null handles when no observer is attached; every record
   // call below degenerates to one predictable branch.
@@ -51,9 +75,11 @@ SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
     tr_ = cfg_.observer->trace();
     ctr_ = &cfg_.observer->counters;
   }
-  backend_->set_observer(tr_, ctr_);
+  cubes_[0].backend->set_observer(tr_, ctr_);
 
-  const hmc::LinkModel& link = backend_->link();
+  const hmc::LinkModel& link = cubes_[0].backend->link();
+  // Every cube brings its own links: Eq. 1 sees the aggregate FLIT budget.
+  const double link_flits_per_sec = link.flits_per_sec() * cubes;
   ideal_ = cfg_.scenario == Scenario::kIdealThermal;
 
   // Property footprint: two 4-byte property arrays (e.g. level + frontier
@@ -73,47 +99,58 @@ SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
     est_atomics += l.mem.atomic_ops;
   }
   const double est_time =
-      std::max(est_flits / link.flits_per_sec(), est_instr / cfg_.gpu.issue_rate_per_sec());
+      std::max(est_flits / link_flits_per_sec, est_instr / cfg_.gpu.issue_rate_per_sec());
   const double naive_rate_estimate =
       est_time > 0.0 ? est_atomics / est_time * 1e-9 : 0.0;
 
-  controller_ = make_controller(cfg_, workload, link, naive_rate_estimate);
+  controller_ = make_controller(cfg_, workload, link_flits_per_sec, naive_rate_estimate);
   controller_->set_trace(tr_);
   controller_->set_counters(ctr_);
   engine_.emplace(cfg_.gpu, std::move(launches), *controller_);
   engine_->set_observer(tr_, ctr_);
 
-  therm_.set_observer(tr_, ctr_, cfg_.policy.warning_threshold);
+  therm.set_observer(tr_, ctr_, cfg_.policy.warning_threshold);
   // Initial thermal state: the device has been serving the surrounding
   // application's regular (non-PIM) traffic at full link bandwidth, so start
   // from that steady state (~81 C with commodity cooling) unless overridden.
+  // Every cube starts from the same state, solved once on cube 0.
+  power::OperatingPoint warm{};
+  warm.link_raw = link.config().link_raw_total();
+  warm.dram_internal = link.max_data_bandwidth();
+  therm.apply_power(power::compute_power(cfg_.energy, warm));
+  therm.solve_steady();
   if (cfg_.start_temp_override > 0.0) {
-    power::OperatingPoint warm{};
-    warm.link_raw = link.config().link_raw_total();
-    warm.dram_internal = link.max_data_bandwidth();
     // Scale the warm operating point so the steady peak matches the override
     // (used by transient experiments that start just below the warning).
-    therm_.apply_power(power::compute_power(cfg_.energy, warm));
-    therm_.solve_steady();
     double lo = 0.0, hi = 4.0;
     for (int i = 0; i < 24; ++i) {
       const double k = 0.5 * (lo + hi);
       power::OperatingPoint scaled{};
       scaled.link_raw = warm.link_raw * k;
       scaled.dram_internal = warm.dram_internal * k;
-      therm_.apply_power(power::compute_power(cfg_.energy, scaled));
-      therm_.solve_steady();
-      if (therm_.peak_dram().value() < cfg_.start_temp_override) lo = k; else hi = k;
+      therm.apply_power(power::compute_power(cfg_.energy, scaled));
+      therm.solve_steady();
+      if (therm.peak_dram().value() < cfg_.start_temp_override) lo = k; else hi = k;
     }
-  } else {
-    power::OperatingPoint warm{};
-    warm.link_raw = link.config().link_raw_total();
-    warm.dram_internal = link.max_data_bandwidth();
-    therm_.apply_power(power::compute_power(cfg_.energy, warm));
-    therm_.solve_steady();
   }
 
-  sensor_.emplace(cfg_.thermal_delay, therm_.peak_dram());
+  for (std::size_t i = 1; i < n; ++i) {
+    cubes_.push_back(Cube{make_cube_backend(i), therm});
+    cubes_[i].backend->set_observer(tr_, ctr_);
+    // Counters sum over cubes; the thermal trace track stays cube 0's.
+    cubes_[i].therm.set_observer(obs::Trace{}, ctr_, cfg_.policy.warning_threshold);
+  }
+  // Demand splitter: regular traffic stripes evenly; PIM traffic follows the
+  // hub skew (cube 0 takes `atomic_skew`, the others split the rest).  Both
+  // shares are exactly 1 at one cube.
+  for (std::size_t i = 0; i < n; ++i) {
+    cubes_[i].regular_share = 1.0 / cubes;
+    cubes_[i].pim_share = n == 1 ? 1.0
+                          : i == 0 ? cfg_.atomic_skew
+                                   : (1.0 - cfg_.atomic_skew) / (cubes - 1.0);
+  }
+
+  sensor_.emplace(cfg_.thermal_delay, therm.peak_dram());
 
   // Fault layer: instantiated only when the config enables it, so fault-free
   // runs execute the exact pre-fault code path -- no extra RNG draws, no
@@ -133,12 +170,37 @@ SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
 
   if (cfg_.warm_start) {
     phase_ = Phase::kWarmupPass;
-    prev_peak_ = therm_.peak_dram();
+    prev_peak_ = hottest();
     prev_adjustments_ = controller_->adjustments();
     rep_ = 0;
   } else {
     phase_ = Phase::kMeasuredBegin;
   }
+}
+
+Celsius SystemRun::hottest() const {
+  Celsius t = cubes_[0].therm.peak_dram();
+  for (std::size_t i = 1; i < cubes_.size(); ++i) t = std::max(t, cubes_[i].therm.peak_dram());
+  return t;
+}
+
+hmc::EpochService SystemRun::serve(const hmc::EpochDemand& demand, Time window) {
+  auto temp = [&](const Cube& c) {
+    return ideal_ ? c.therm.config().ambient : c.therm.peak_dram();
+  };
+  if (cubes_.size() == 1) return cubes_[0].backend->serve(demand, window, temp(cubes_[0]));
+  hmc::EpochService agg{};
+  for (Cube& c : cubes_) {
+    const hmc::EpochService s = c.backend->serve(
+        share_of(demand, c.regular_share, c.pim_share), window, temp(c));
+    agg.served_fraction = std::min(agg.served_fraction, s.served_fraction);
+    agg.shut_down = agg.shut_down || s.shut_down;
+  }
+  // Kernels proceed at the pace of their slowest memory channel.
+  agg.reads = demand.reads * agg.served_fraction;
+  agg.writes = demand.writes * agg.served_fraction;
+  agg.pim_ops = demand.pim_ops * agg.served_fraction;
+  return agg;
 }
 
 bool SystemRun::advance() {
@@ -183,7 +245,7 @@ bool SystemRun::advance() {
         continue;
       }
       case Phase::kMeasuredBegin:
-        result_.start_dram_temp = therm_.peak_dram();
+        result_.start_dram_temp = hottest();
         engine_->stats().reset();  // warm-up traffic is not part of the measurement
         measured_start_ = now_;
         begin_pass(cfg_.epoch, /*measure=*/true);
@@ -207,7 +269,8 @@ void SystemRun::begin_pass(Time epoch, bool measure) {
   pass_.start = now_;
   tr_.begin(now_, obs::names::kCatSim, measure ? "measured_pass" : "warmup_pass",
             {{"epoch_us", epoch.as_us()}});
-  pass_.peak = therm_.peak_dram();
+  pass_.peak = hottest();
+  for (Cube& c : cubes_) c.pass_peak = c.therm.peak_dram();
   in_pass_ = true;
 }
 
@@ -220,26 +283,27 @@ bool SystemRun::pass_epoch() {
     int spins = 0;
     while (left > Time::zero() && !engine_->finished()) {
       COOLPIM_ASSERT_MSG(++spins < 10000, "epoch failed to make progress");
-      const Celsius temp = ideal_ ? therm_.config().ambient : therm_.peak_dram();
       const auto demand = engine_->plan(now_, left);
       pass_.dem_reads += demand.reads;
       pass_.dem_writes += demand.writes;
       pass_.dem_pims += demand.pim_ops;
-      const auto service = backend_->serve(demand, left, temp);
+      const auto service = serve(demand, left);
       if (service.shut_down) {
         // Conservative device behaviour: stop, cool, lose data (paper
-        // III-A.2); account the recovery and restart the pass cold.
+        // III-A.2); account the recovery and restart the pass cold.  Any
+        // cube shutting down stalls the GPU, so every cube restarts cold.
         result_.shut_down = true;
         tr_.instant(now_, obs::names::kCatSys, "thermal_shutdown",
                     {{"recovery_ms", cfg_.shutdown_recovery.as_ms()}});
         if (ctr_ != nullptr) ctr_->counter(obs::names::kSysShutdowns).add();
         now_ += cfg_.shutdown_recovery;
-        therm_.reset();
+        for (Cube& c : cubes_) c.therm.reset();
         engine_->restart();
         left = pass_.epoch;
         continue;
       }
       const Time used = engine_->commit(now_, left, service);
+      if (cubes_.size() > 1) committed_.add(service);
       pim_ops += service.pim_ops;
       reads += service.reads;
       writes += service.writes;
@@ -251,19 +315,31 @@ bool SystemRun::pass_epoch() {
     if (step <= Time::zero()) continue;
     const double secs = step.as_sec();
 
-    // Power from the epoch's served traffic, through the backend's
-    // thermal-power hook (the default maps the mix via its LinkModel,
-    // matching the pre-contract arithmetic exactly).
+    // Power from each cube's share of the epoch's committed traffic, through
+    // its backend's thermal-power hook (the default maps the mix via its
+    // LinkModel, matching the pre-contract arithmetic exactly), at the
+    // cube's own derate level.
     hmc::TransactionMix mix{reads / secs, writes / secs, pim_ops / secs, 0.0};
-    const hmc::ThermalPower tp = backend_->thermal_power(mix);
-    power::OperatingPoint op;
-    op.link_raw = tp.link_raw;
-    op.dram_internal = tp.dram_internal;
-    op.pim_ops_per_sec = mix.pim_per_sec;
-    const int level =
-        ideal_ ? 0 : std::min(2, static_cast<int>(cfg_.policy.phase(therm_.peak_dram())));
-    const auto pb = power::compute_power(cfg_.energy, op, level);
-    therm_.apply_power(pb);
+    power::OperatingPoint op;  // summed over cubes
+    int level = 0;
+    for (Cube& c : cubes_) {
+      const hmc::TransactionMix cube_mix{mix.reads_per_sec * c.regular_share,
+                                         mix.writes_per_sec * c.regular_share,
+                                         mix.pim_per_sec * c.pim_share, 0.0};
+      const hmc::ThermalPower tp = c.backend->thermal_power(cube_mix);
+      power::OperatingPoint cube_op;
+      cube_op.link_raw = tp.link_raw;
+      cube_op.dram_internal = tp.dram_internal;
+      cube_op.pim_ops_per_sec = cube_mix.pim_per_sec;
+      const int cube_level =
+          ideal_ ? 0 : std::min(2, static_cast<int>(cfg_.policy.phase(c.therm.peak_dram())));
+      c.pb = power::compute_power(cfg_.energy, cube_op, cube_level);
+      c.therm.apply_power(c.pb);
+      op.link_raw = op.link_raw + cube_op.link_raw;
+      op.dram_internal = op.dram_internal + cube_op.dram_internal;
+      op.pim_ops_per_sec += cube_op.pim_ops_per_sec;
+      level = std::max(level, cube_level);
+    }
     if (tr_.enabled()) {
       // The epoch ran [now - step, now): the HMC serve span covers it, and
       // the thermal model's internal trace clock is re-anchored so its
@@ -274,7 +350,7 @@ bool SystemRun::pass_epoch() {
                     {"pim_ops", pim_ops},
                     {"derate_level", level}});
     }
-    therm_.sync_trace_clock(now_ - step);
+    for (Cube& c : cubes_) c.therm.sync_trace_clock(now_ - step);
     // Yield: the caller advances the thermal model by `step`, then resumes
     // with post_step().
     ep_ = EpochState{};
@@ -285,20 +361,21 @@ bool SystemRun::pass_epoch() {
     ep_.pim_ops = pim_ops;
     ep_.mix = mix;
     ep_.op = op;
-    ep_.pb = pb;
     return true;
   }
   return false;
 }
 
 void SystemRun::post_step() {
-  const hmc::LinkModel& link = backend_->link();
+  const hmc::LinkModel& link = cubes_[0].backend->link();
   const Time step = ep_.step;
   const double secs = ep_.secs;
   // Served-op counters come from the backend's op-accounting hook: every
   // drain emits round(exact total) - emitted-so-far, so totals are a single
   // rounding of the exact sums and backend-comparable by construction.
-  const hmc::OpDelta op_delta = backend_->drain_op_delta();
+  // Several cubes drain the committed tally instead.
+  const hmc::OpDelta op_delta =
+      cubes_.size() == 1 ? cubes_[0].backend->drain_op_delta() : committed_.drain();
   if (ctr_ != nullptr) {
     ctr_->counter(obs::names::kSysEpochs).add();
     ctr_->counter(obs::names::kHmcServedReads).add(op_delta.reads);
@@ -306,14 +383,18 @@ void SystemRun::post_step() {
     ctr_->counter(obs::names::kHmcServedPimOps).add(op_delta.pim_ops);
   }
   if (pass_.measure) {
-    result_.cube_energy_j += ep_.pb.total().value() * secs;
-    result_.fan_energy_j += power::cooling(cfg_.cooling).fan_power_watts * secs;
+    for (Cube& c : cubes_) {
+      result_.cube_energy_j += c.pb.total().value() * secs;
+      result_.fan_energy_j += power::cooling(cfg_.cooling).fan_power_watts * secs;
+      c.pim_ops += ep_.pim_ops * c.pim_share;
+    }
   }
   pass_.tot_raw += ep_.op.link_raw.as_bytes_per_sec() * secs;
   pass_.tot_internal += ep_.op.dram_internal.as_bytes_per_sec() * secs;
   pass_.tot_pim += ep_.pim_ops;
 
-  const Celsius dram = therm_.peak_dram();
+  for (Cube& c : cubes_) c.pass_peak = std::max(c.pass_peak, c.therm.peak_dram());
+  const Celsius dram = hottest();
   pass_.peak = std::max(pass_.peak, dram);
   sensor_->record(now_, dram);
 
@@ -399,33 +480,44 @@ void SystemRun::warmup_jump() {
   // coolest self-consistent level (a device whose full-speed steady state is
   // below 85 C never enters the extended range); if no level is consistent
   // the equilibrium straddles the 85 C boundary, which the extended-level
-  // solution represents best.
-  auto solve_at = [&](int level) {
-    const Celsius probe{level == 0 ? 80.0 : (level == 1 ? 90.0 : 100.0)};
-    // probe(): what-if serve with no op accounting and no backend state
-    // advanced -- the jump is a fast-forward, not served traffic.
-    const auto svc = backend_->probe(ema_, Time::sec(1.0), probe);
-    power::OperatingPoint op;
-    op.link_raw = svc.link_raw;
-    op.dram_internal = svc.dram_internal;
-    op.pim_ops_per_sec = svc.pim_ops_per_sec;
-    therm_.apply_power(power::compute_power(cfg_.energy, op, level));
-    therm_.solve_steady();
-    return std::min(2, static_cast<int>(cfg_.policy.phase(therm_.peak_dram())));
-  };
-  bool consistent = false;
-  for (int level = 0; level <= 2 && !consistent; ++level) {
-    consistent = solve_at(level) == level;
+  // solution represents best.  Each cube jumps on its own share.
+  for (Cube& c : cubes_) {
+    const hmc::EpochDemand share = share_of(ema_, c.regular_share, c.pim_share);
+    auto solve_at = [&](int level) {
+      const Celsius probe{level == 0 ? 80.0 : (level == 1 ? 90.0 : 100.0)};
+      // probe(): what-if serve with no op accounting and no backend state
+      // advanced -- the jump is a fast-forward, not served traffic.
+      const auto svc = c.backend->probe(share, Time::sec(1.0), probe);
+      power::OperatingPoint op;
+      op.link_raw = svc.link_raw;
+      op.dram_internal = svc.dram_internal;
+      op.pim_ops_per_sec = svc.pim_ops_per_sec;
+      c.therm.apply_power(power::compute_power(cfg_.energy, op, level));
+      c.therm.solve_steady();
+      return std::min(2, static_cast<int>(cfg_.policy.phase(c.therm.peak_dram())));
+    };
+    bool consistent = false;
+    for (int level = 0; level <= 2 && !consistent; ++level) {
+      consistent = solve_at(level) == level;
+    }
+    if (!consistent) (void)solve_at(1);
   }
-  if (!consistent) (void)solve_at(1);
   // The jump is a fast-forward, not a physical excursion: re-anchor the
   // thermal sensor so stale pre-jump samples cannot trigger warnings.
-  sensor_.emplace(cfg_.thermal_delay, therm_.peak_dram());
-  sensor_->record(now_, therm_.peak_dram());
+  sensor_.emplace(cfg_.thermal_delay, hottest());
+  sensor_->record(now_, hottest());
 }
 
 void SystemRun::finalize() {
-  result_.peak_dram_temp = ideal_ ? therm_.config().ambient : pass_out_.peak;
+  const Celsius ambient = cubes_[0].therm.config().ambient;
+  result_.peak_dram_temp = ideal_ ? ambient : pass_out_.peak;
+  double cube_pim_total = 0.0;
+  for (const Cube& c : cubes_) cube_pim_total += c.pim_ops;
+  for (const Cube& c : cubes_) {
+    result_.cubes.push_back(
+        CubeResult{ideal_ ? ambient : c.pass_peak, c.therm.peak_dram(),
+                   cube_pim_total > 0.0 ? c.pim_ops / cube_pim_total : 0.0, c.pim_ops});
+  }
   result_.host_atomics = engine_->stats().counter_value("host_atomics");
   if (tr_.enabled()) {
     // One span per controller over the measured pass so the throttle policy

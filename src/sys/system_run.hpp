@@ -11,17 +11,25 @@
 // bookkeeping (counters, sensor, warning delivery, measurement).  advance()
 // returns false when the run is complete.
 //
-// System::run drives it: `while (run.advance()) run.thermal().step(dt)`
-// executes the exact statement sequence of the pre-split monolithic loop, so
-// results, counters and traces are byte-identical to it.  The phases stay
-// resumable so a caller can time or inspect each one on its own (the
-// repository benchmark times the thermal step apart from serve/control).
+// System::run drives it: each yield steps every cube's thermal model by
+// pending_dt(), which at one cube executes the exact statement sequence of
+// the pre-split monolithic loop, so results, counters and traces are
+// byte-identical to it.  The phases stay resumable so a caller can time or
+// inspect each one on its own (the repository benchmark times the thermal
+// step apart from serve/control).
+//
+// N cubes (SystemConfig::cubes) are N slots of (backend, thermal model) in
+// the same loop: each cube serves its share of the GPU's demand, the GPU
+// commits at the slowest cube's pace, and the sensor, warnings, faults and
+// shutdown handling see the hottest cube (DESIGN.md section 14).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/units.hpp"
 #include "control/policy.hpp"
@@ -78,15 +86,19 @@ class SystemRun {
   SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload);
 
   /// Advance until the next thermal step is needed.  Returns true when the
-  /// caller must call thermal().step(pending_dt()) before calling advance()
-  /// again; false when the run is complete and take_result() may be called.
+  /// caller must call thermal(c).step(pending_dt()) for every cube c <
+  /// cube_count() before calling advance() again; false when the run is
+  /// complete and take_result() may be called.
   [[nodiscard]] bool advance();
 
   /// The epoch length the pending thermal step must cover (valid after
   /// advance() returned true).
   [[nodiscard]] Time pending_dt() const { return ep_.step; }
 
-  [[nodiscard]] thermal::HmcThermalModel& thermal() { return therm_; }
+  [[nodiscard]] std::size_t cube_count() const { return cubes_.size(); }
+  [[nodiscard]] thermal::HmcThermalModel& thermal(std::size_t cube = 0) {
+    return cubes_[cube].therm;
+  }
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
   [[nodiscard]] bool done() const { return phase_ == Phase::kDone; }
   [[nodiscard]] RunResult take_result();
@@ -110,16 +122,31 @@ class SystemRun {
     double dem_reads{0.0}, dem_writes{0.0}, dem_pims{0.0};
   };
 
-  /// Epoch state carried across the thermal-step yield.
+  /// Epoch state carried across the thermal-step yield (totals over cubes).
   struct EpochState {
     Time step{Time::zero()};
     double secs{0.0};
     double reads{0.0}, writes{0.0}, pim_ops{0.0};
     hmc::TransactionMix mix{};
     power::OperatingPoint op{};
-    power::PowerBreakdown pb{};
   };
 
+  /// One HMC cube: its service backend (built from cfg_.backend by
+  /// hmc::make_backend), its thermal stack and its share of the demand.
+  struct Cube {
+    std::unique_ptr<hmc::Backend> backend;
+    thermal::HmcThermalModel therm;
+    double regular_share{1.0};
+    double pim_share{1.0};
+    Celsius pass_peak{0.0};
+    power::PowerBreakdown pb{};  // applied this epoch
+    double pim_ops{0.0};         // measured pass: share x committed
+  };
+
+  [[nodiscard]] Celsius hottest() const;
+  /// Serve one window of demand on every cube; at one cube this is the
+  /// backend's own service, else the aggregate at the slowest cube's pace.
+  [[nodiscard]] hmc::EpochService serve(const hmc::EpochDemand& demand, Time window);
   void begin_pass(Time epoch, bool measure);
   /// Serve phase: runs epochs until one needs a thermal step (true) or the
   /// engine finishes the pass (false).
@@ -133,15 +160,15 @@ class SystemRun {
   SystemConfig cfg_;
   obs::Trace tr_;
   obs::CounterRegistry* ctr_{nullptr};
-  /// HMC service backend behind the fidelity contract (hmc/backend.hpp);
-  /// built from cfg_.backend by hmc::make_backend.
-  std::unique_ptr<hmc::Backend> backend_;
+  std::vector<Cube> cubes_;
+  /// Committed ops at more than one cube: a cube that served ahead of the
+  /// commit is offered that work again, so its own tally would count it twice.
+  hmc::OpTally committed_;
   bool ideal_{false};
   bool faulty_{false};
 
   std::unique_ptr<control::Policy> controller_;
   std::optional<gpu::ExecutionEngine> engine_;
-  thermal::HmcThermalModel therm_;
   std::optional<detail::DelayedSensor> sensor_;
   std::optional<fault::FaultPlan> faults_;
   std::optional<fault::Watchdog> wdog_;

@@ -3,6 +3,8 @@
 // Figs. 1, 2, 4 and 5.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "hmc/config.hpp"
 #include "hmc/link_model.hpp"
 #include "power/energy_model.hpp"
@@ -177,6 +179,66 @@ TEST(TransientBehaviour, RespondsWithinMilliseconds) {
   const double after_5ms = model.peak_dram().value();
   EXPECT_GT(after_5ms - 25.0, 0.5 * (steady - 25.0));
 }
+
+// Physical invariant: a steady stack never cools when more power is applied
+// or when the sink gets worse.  Checked per power component (each of the
+// patterns apply_power spreads) and for all of them at once, cold-started so
+// every point is an independent solve.
+class SteadyMonotonicity : public ::testing::TestWithParam<CoolingType> {
+ protected:
+  static double peak(HmcThermalConfig cfg, const power::PowerBreakdown& pb) {
+    HmcThermalModel model{std::move(cfg)};
+    model.apply_power(pb);
+    model.solve_steady(SteadyStart::kCold);
+    return model.peak_dram().value();
+  }
+
+  LinkModel link_{hmc::hmc20_config()};
+  power::PowerBreakdown base_{
+      power::compute_power(EnergyParams{}, pim_traffic(link_, 2.0))};
+};
+
+TEST_P(SteadyMonotonicity, NonDecreasingInAppliedPower) {
+  const auto cfg = hmc20_thermal_config(GetParam());
+  using Component = Watts power::PowerBreakdown::*;
+  const Component components[] = {
+      &power::PowerBreakdown::logic_dynamic, &power::PowerBreakdown::logic_background,
+      &power::PowerBreakdown::fu, &power::PowerBreakdown::dram_dynamic,
+      &power::PowerBreakdown::dram_background};
+  for (std::size_t i = 0; i < std::size(components); ++i) {
+    double prev = -1.0;
+    for (const double extra_w : {0.0, 0.5, 2.0, 8.0}) {
+      power::PowerBreakdown pb = base_;
+      pb.*components[i] += Watts{extra_w};
+      const double t = peak(cfg, pb);
+      EXPECT_GE(t, prev) << "component " << i << " +" << extra_w << " W";
+      prev = t;
+    }
+  }
+  double prev = -1.0;
+  for (const double k : {0.0, 0.25, 0.5, 1.0, 1.5, 2.0}) {
+    power::PowerBreakdown pb;
+    for (const Component c : components) pb.*c = Watts{(base_.*c).value() * k};
+    const double t = peak(cfg, pb);
+    EXPECT_GE(t, prev) << "power x" << k;
+    prev = t;
+  }
+}
+
+TEST_P(SteadyMonotonicity, NonDecreasingInSinkResistance) {
+  double prev = -1.0;
+  for (const double k : {0.25, 0.5, 1.0, 1.5, 2.0, 4.0}) {
+    auto cfg = hmc20_thermal_config(GetParam());
+    cfg.cooling.resistance = ThermalResistance{cfg.cooling.resistance.value() * k};
+    const double t = peak(cfg, base_);
+    EXPECT_GE(t, prev) << "sink resistance x" << k;
+    prev = t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CommodityAndPassive, SteadyMonotonicity,
+                         ::testing::Values(CoolingType::kCommodityServer,
+                                           CoolingType::kPassive));
 
 }  // namespace
 }  // namespace coolpim::thermal

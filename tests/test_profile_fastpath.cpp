@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "graph/generator.hpp"
 #include "graph/simt.hpp"
 #include "obs/counters.hpp"
@@ -274,6 +275,53 @@ TEST_F(ProfileCacheTest, StaleEntryWithWrongGraphShapeIsRejected) {
   EXPECT_EQ(rebuilt.build_stats().cache_misses, 1u);
   EXPECT_EQ(rebuilt.build_stats().profiles_computed, rebuilt.all().size());
   expect_profiles_identical(cold.all(), rebuilt.all());
+}
+
+TEST_F(ProfileCacheTest, OverstatedCountsAreRejectedBeforeAllocating) {
+  // The trailer is a plain hash, not a MAC, so a hand-made file can carry a
+  // valid one.  Counts its bytes cannot hold must be rejected up front, not
+  // handed to resize() (an iteration record is 80 bytes: 2^32 of them would
+  // request 320 GiB).
+  const auto key = sys::profile_cache_key(11, 3, false);
+  auto write_blob = [&](const std::string& payload) {
+    std::filesystem::create_directories(dir_);
+    HashStream h;
+    h.bytes(payload.data(), payload.size());
+    const std::uint64_t hash = h.digest();
+    std::ofstream out{sys::profile_cache_file(dir_, key), std::ios::binary | std::ios::trunc};
+    out.write("CPPROF01", 8);
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    for (int i = 0; i < 8; ++i) out.put(static_cast<char>((hash >> (8 * i)) & 0xff));
+  };
+  auto le = [](std::uint64_t v, int bytes) {
+    std::string s;
+    for (int i = 0; i < bytes; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return s;
+  };
+  const std::string header = le(sys::kProfileFormatVersion, 4) + le(key, 8);
+  auto profile = [&](std::uint64_t iterations) {
+    return le(2, 4) + "dc" + le(0, 1) + le(0, 1) + le(0, 1) + le(1, 4) + le(1, 8) + le(0, 8) +
+           le(iterations, 8);
+  };
+  std::vector<graph::WorkloadProfile> out;
+
+  // Controls: the hand-made blobs are well-formed when the counts are honest.
+  write_blob(header + le(0, 4));
+  EXPECT_TRUE(sys::load_profiles(dir_, key, out));
+  write_blob(header + le(1, 4) + profile(1) + std::string(80, '\0'));
+  ASSERT_TRUE(sys::load_profiles(dir_, key, out));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].iterations.size(), 1u);
+
+  // Profile count: 2^32 - 1 profiles in a few bytes.
+  write_blob(header + le(0xffffffffULL, 4) + std::string(64, '\0'));
+  EXPECT_FALSE(sys::load_profiles(dir_, key, out));
+  EXPECT_TRUE(out.empty());
+
+  // Iteration count: one profile claiming 2^32 iteration records.
+  write_blob(header + le(1, 4) + profile(1ULL << 32) + std::string(80, '\0'));
+  EXPECT_FALSE(sys::load_profiles(dir_, key, out));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_F(ProfileCacheTest, KeySeparatesIdentities) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/main.hpp"
 #include "common/units.hpp"
 #include "hmc/config.hpp"
 #include "hmc/link_model.hpp"
@@ -47,9 +48,7 @@ double peak_dram_at(thermal::HmcThermalModel& model, const power::EnergyParams& 
   return model.peak_dram().value();
 }
 
-}  // namespace
-
-int main() {
+int run_tool() {
   const hmc::LinkModel link{hmc::hmc20_config()};
   const power::EnergyParams ep;
 
@@ -194,4 +193,10 @@ int main() {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  return coolpim::run_main([&] { return run_tool(); });
 }

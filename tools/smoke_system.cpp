@@ -1,14 +1,17 @@
 // Development smoke test: run a few workloads through all six scenarios and
 // print Fig. 10/12/13-style numbers for calibration.
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "sys/system.hpp"
 
 using namespace coolpim;
 
-int main(int argc, char** argv) {
-  const unsigned scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 16;
+namespace {
+
+int run_tool(int argc, char** argv) {
+  const unsigned scale = argc > 1 ? static_cast<unsigned>(parse_u64("scale", argv[1], 24)) : 16;
   std::printf("building workload set at scale %u...\n", scale);
   sys::WorkloadSet set{scale};
   std::printf("graph: %u vertices, %llu edges\n", set.graph().num_vertices(),
@@ -46,4 +49,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

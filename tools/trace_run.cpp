@@ -10,17 +10,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "obs/observer.hpp"
 #include "sys/system.hpp"
 
 using namespace coolpim;
 
-int main(int argc, char** argv) {
-  const unsigned scale = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 18;
+namespace {
+
+int run_tool(int argc, char** argv) {
+  const unsigned scale = argc > 1 ? static_cast<unsigned>(parse_u64("scale", argv[1], 24)) : 18;
   const std::string wl_name = argc > 2 ? argv[2] : "dc";
-  const int scen_idx = argc > 3 ? std::atoi(argv[3]) : 1;  // naive
+  const std::size_t scen_idx =  // default 1: naive
+      argc > 3 ? parse_u64("scenario-idx", argv[3], std::size(sys::kAllScenarios) - 1) : 1;
   const std::string trace_path = argc > 4 ? argv[4] : "";
   const std::string counters_path = argc > 5 ? argv[5] : "";
 
@@ -55,4 +61,10 @@ int main(int argc, char** argv) {
     std::printf("counters: %s\n", counters_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

@@ -12,21 +12,27 @@
 // Usage: xval_backends [--epochs N]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "common/main.hpp"
+#include "common/parse.hpp"
 #include "hmc/backend.hpp"
 #include "pim/programs.hpp"
 #include "pim/xval.hpp"
 
 using namespace coolpim;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_tool(int argc, char** argv) {
   unsigned epochs = 40;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc) {
-      epochs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      epochs = static_cast<unsigned>(
+          parse_u64("--epochs", argv[++i], std::numeric_limits<unsigned>::max()));
+      COOLPIM_REQUIRE(epochs > 0, "--epochs must be positive");
     } else {
       std::fprintf(stderr, "usage: xval_backends [--epochs N]\n");
       return 2;
@@ -57,4 +63,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\nall kernels within tolerance\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coolpim::run_main([&] { return run_tool(argc, argv); });
 }

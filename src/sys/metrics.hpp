@@ -33,7 +33,6 @@ struct CubeResult {
   Celsius peak_dram_temp{0.0};   // measured pass (ambient under ideal thermal)
   Celsius final_dram_temp{0.0};  // at run end
   double pim_share{0.0};         // fraction of the measured pass's PIM ops
-  double pim_ops{0.0};           // exact PIM ops served over the measured pass
 };
 
 struct RunResult {

@@ -135,9 +135,11 @@ SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
   }
 
   for (std::size_t i = 1; i < n; ++i) {
+    // Backend-internal counters and spans are cube 0's alone: a cube that
+    // serves ahead of the commit is offered that work again, so summing
+    // backends would count it twice.  Thermal counters sum over cubes; the
+    // thermal trace track stays cube 0's.
     cubes_.push_back(Cube{make_cube_backend(i), therm});
-    cubes_[i].backend->set_observer(tr_, ctr_);
-    // Counters sum over cubes; the thermal trace track stays cube 0's.
     cubes_[i].therm.set_observer(obs::Trace{}, ctr_, cfg_.policy.warning_threshold);
   }
   // Demand splitter: regular traffic stripes evenly; PIM traffic follows the
@@ -303,7 +305,7 @@ bool SystemRun::pass_epoch() {
         continue;
       }
       const Time used = engine_->commit(now_, left, service);
-      if (cubes_.size() > 1) committed_.add(service);
+      committed_.add(service);
       pim_ops += service.pim_ops;
       reads += service.reads;
       writes += service.writes;
@@ -370,12 +372,10 @@ void SystemRun::post_step() {
   const hmc::LinkModel& link = cubes_[0].backend->link();
   const Time step = ep_.step;
   const double secs = ep_.secs;
-  // Served-op counters come from the backend's op-accounting hook: every
-  // drain emits round(exact total) - emitted-so-far, so totals are a single
-  // rounding of the exact sums and backend-comparable by construction.
-  // Several cubes drain the committed tally instead.
-  const hmc::OpDelta op_delta =
-      cubes_.size() == 1 ? cubes_[0].backend->drain_op_delta() : committed_.drain();
+  // Served-op counters come from the committed tally: every drain emits
+  // round(exact total) - emitted-so-far, so totals are a single rounding of
+  // the exact sums and backend-comparable by construction.
+  const hmc::OpDelta op_delta = committed_.drain();
   if (ctr_ != nullptr) {
     ctr_->counter(obs::names::kSysEpochs).add();
     ctr_->counter(obs::names::kHmcServedReads).add(op_delta.reads);
@@ -386,7 +386,6 @@ void SystemRun::post_step() {
     for (Cube& c : cubes_) {
       result_.cube_energy_j += c.pb.total().value() * secs;
       result_.fan_energy_j += power::cooling(cfg_.cooling).fan_power_watts * secs;
-      c.pim_ops += ep_.pim_ops * c.pim_share;
     }
   }
   pass_.tot_raw += ep_.op.link_raw.as_bytes_per_sec() * secs;
@@ -511,12 +510,11 @@ void SystemRun::warmup_jump() {
 void SystemRun::finalize() {
   const Celsius ambient = cubes_[0].therm.config().ambient;
   result_.peak_dram_temp = ideal_ ? ambient : pass_out_.peak;
-  double cube_pim_total = 0.0;
-  for (const Cube& c : cubes_) cube_pim_total += c.pim_ops;
+  // Every committed PIM op is split at the configured share, so a cube's
+  // share of the measured pass's PIM ops is its pim_share.
   for (const Cube& c : cubes_) {
-    result_.cubes.push_back(
-        CubeResult{ideal_ ? ambient : c.pass_peak, c.therm.peak_dram(),
-                   cube_pim_total > 0.0 ? c.pim_ops / cube_pim_total : 0.0, c.pim_ops});
+    result_.cubes.push_back(CubeResult{ideal_ ? ambient : c.pass_peak, c.therm.peak_dram(),
+                                       result_.pim_ops > 0 ? c.pim_share : 0.0});
   }
   result_.host_atomics = engine_->stats().counter_value("host_atomics");
   if (tr_.enabled()) {

@@ -140,7 +140,6 @@ class SystemRun {
     double pim_share{1.0};
     Celsius pass_peak{0.0};
     power::PowerBreakdown pb{};  // applied this epoch
-    double pim_ops{0.0};         // measured pass: share x committed
   };
 
   [[nodiscard]] Celsius hottest() const;
@@ -161,8 +160,9 @@ class SystemRun {
   obs::Trace tr_;
   obs::CounterRegistry* ctr_{nullptr};
   std::vector<Cube> cubes_;
-  /// Committed ops at more than one cube: a cube that served ahead of the
-  /// commit is offered that work again, so its own tally would count it twice.
+  /// Committed ops: at one cube exactly the backend's own tally; at more, a
+  /// cube that served ahead of the commit is offered that work again, so its
+  /// own tally would count it twice.
   hmc::OpTally committed_;
   bool ideal_{false};
   bool faulty_{false};

@@ -16,7 +16,7 @@
 // Without --synthetic, service profiles are measured: each request class is
 // one single-node run of {pagerank, dc, bfs-ta, sssp-dtc} under the node
 // policy (--policy, default hw-dynt), through the parallel runner's
-// key/seed/cache path.
+// key/seed path.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>

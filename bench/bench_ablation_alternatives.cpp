@@ -1,8 +1,6 @@
 // Ablation: CoolPIM's *selective* source throttling vs the alternative
 // policies the paper dismisses (Section III-C): doing nothing (naive, the
 // device derates reactively) and blanket host-side bandwidth throttling.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -42,22 +40,12 @@ void print_alternatives() {
          "existing kernel-launch path (SW) or a per-SM PCU (HW).\n";
 }
 
-void BM_BwThrottleRun(benchmark::State& state) {
-  (void)workloads();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one("dc", sys::Scenario::kBwThrottle).exec_time);
-  }
-}
-BENCHMARK(BM_BwThrottleRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_alternatives();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

@@ -1,8 +1,6 @@
 // Ablation: HMC device design options -- row-buffer policy and address
 // interleaving granularity -- measured on the event-detailed device with
 // streaming and random traffic (the two extremes graph workloads mix).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -75,23 +73,13 @@ void print_latency() {
   t.print(std::cout);
 }
 
-void BM_DeviceTraffic(benchmark::State& state) {
-  const bool open_page = state.range(0) != 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_traffic(open_page, false, 500).gbps);
-  }
-}
-BENCHMARK(BM_DeviceTraffic)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_page_policy();
     print_latency();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

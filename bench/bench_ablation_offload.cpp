@@ -4,8 +4,6 @@
 // Paper Section II-B: "the cache-bypassing policy can bring an additional
 // performance benefit because of avoiding the unnecessary cache-checking
 // overhead" -- here quantified as the coherence traffic PEI adds per offload.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -17,12 +15,12 @@ using namespace coolpim::bench;
 
 namespace {
 
-void print_offload_policy() {
+void print_offload_policy(const sys::RunResult& dc_base) {
   Table t{"Ablation -- offload coherence policy (CoolPIM HW)"};
   t.header({"Workload", "GraphPIM (uncacheable) speedup", "PEI (coherent) speedup",
             "PEI extra traffic (%)"});
   for (const std::string wl : {"dc", "pagerank", "sssp-dwc"}) {
-    const auto base = run_one(wl, sys::Scenario::kNonOffloading);
+    const auto base = wl == "dc" ? dc_base : run_one(wl, sys::Scenario::kNonOffloading);
     sys::SystemConfig pei_cfg;
     pei_cfg.gpu.offload_policy = gpu::OffloadPolicy::kCoherentWriteback;
     const auto graphpim = run_one(wl, sys::Scenario::kCoolPimHw);
@@ -37,13 +35,15 @@ void print_offload_policy() {
                "which is why the paper adopts it for the offload target data.\n";
 }
 
-void print_coalescing() {
+void print_coalescing(const sys::RunResult& dc_base) {
   Table t{"Ablation -- host-atomic coalescing factor (dc baseline exec)"};
   t.header({"Coalescing factor", "Baseline exec (ms)", "Ideal-offload speedup"});
   for (const double f : {0.5, 0.7, 0.9, 1.0}) {
     sys::SystemConfig cfg;
     cfg.gpu.host_atomic_coalescing = f;
-    const auto base = run_one("dc", sys::Scenario::kNonOffloading, cfg);
+    const bool is_default = f == gpu::GpuConfig{}.host_atomic_coalescing;
+    const auto base =
+        is_default ? dc_base : run_one("dc", sys::Scenario::kNonOffloading, cfg);
     const auto ideal = run_one("dc", sys::Scenario::kIdealThermal, cfg);
     t.row({Table::num(f, 1), Table::num(base.exec_time.as_ms(), 2),
            Table::num(base.exec_time / ideal.exec_time, 2)});
@@ -53,25 +53,15 @@ void print_coalescing() {
                "the bandwidth gap PIM offloading can exploit.\n";
 }
 
-void BM_PeiRun(benchmark::State& state) {
-  (void)workloads();
-  sys::SystemConfig cfg;
-  cfg.gpu.offload_policy = gpu::OffloadPolicy::kCoherentWriteback;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one("dc", sys::Scenario::kCoolPimHw, cfg).exec_time);
-  }
-}
-BENCHMARK(BM_PeiRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
-    print_offload_policy();
-    print_coalescing();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    coolpim::bench::parse_args(argc, argv);
+    // Both tables use the default dc baseline; it runs once.
+    const auto dc_base = run_one("dc", sys::Scenario::kNonOffloading);
+    print_offload_policy(dc_base);
+    print_coalescing(dc_base);
     return 0;
   });
 }

@@ -1,8 +1,6 @@
 // Ablations on the policy knobs DESIGN.md calls out: Eq. 1 initialization
 // margin, warning-threshold placement, target PIM rate, and the epoch-length
 // sensitivity of the full-system model.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -14,10 +12,9 @@ using namespace coolpim::bench;
 
 namespace {
 
-void print_margin_sweep() {
+void print_margin_sweep(const sys::RunResult& base) {
   Table t{"Ablation -- Eq. 1 PTP initialization margin (dc, CoolPIM SW)"};
   t.header({"Margin (blocks)", "Speedup vs baseline", "Avg PIM rate (op/ns)", "Peak DRAM (C)"});
-  const auto base = run_one("dc", sys::Scenario::kNonOffloading);
   for (const std::uint32_t margin : {0u, 2u, 4u, 8u, 16u, 64u}) {
     sys::SystemConfig cfg;
     cfg.eq1_margin_blocks = margin;
@@ -30,15 +27,16 @@ void print_margin_sweep() {
                "over-throttled; a huge margin relies entirely on feedback.\n";
 }
 
-void print_target_sweep() {
+void print_target_sweep(const sys::RunResult& base, const sys::RunResult& hw_default) {
   Table t{"Ablation -- target PIM rate / warning placement (dc, CoolPIM HW)"};
   t.header({"Warning threshold (C)", "Speedup vs baseline", "Avg PIM rate", "Peak DRAM (C)",
             "Time derated (%)"});
-  const auto base = run_one("dc", sys::Scenario::kNonOffloading);
   for (const double threshold : {80.0, 82.5, 84.5, 85.0}) {
     sys::SystemConfig cfg;
     cfg.policy.warning_threshold = Celsius{threshold};
-    const auto r = run_one("dc", sys::Scenario::kCoolPimHw, cfg);
+    const bool is_default =
+        cfg.policy.warning_threshold == sys::SystemConfig{}.policy.warning_threshold;
+    const auto r = is_default ? hw_default : run_one("dc", sys::Scenario::kCoolPimHw, cfg);
     const double derated = r.exec_time > Time::zero()
                                ? 100.0 * (r.time_above_normal / r.exec_time)
                                : 0.0;
@@ -51,14 +49,14 @@ void print_target_sweep() {
                "before throttling bites -- the threshold sits just below 85 C.\n";
 }
 
-void print_epoch_sweep() {
+void print_epoch_sweep(const sys::RunResult& base, const sys::RunResult& hw_default) {
   Table t{"Ablation -- epoch-length sensitivity of the full-system model (dc, HW)"};
   t.header({"Epoch (us)", "Speedup vs baseline", "Peak DRAM (C)"});
-  const auto base = run_one("dc", sys::Scenario::kNonOffloading);
   for (const double epoch_us : {5.0, 10.0, 20.0, 50.0}) {
     sys::SystemConfig cfg;
     cfg.epoch = Time::us(epoch_us);
-    const auto r = run_one("dc", sys::Scenario::kCoolPimHw, cfg);
+    const bool is_default = cfg.epoch == sys::SystemConfig{}.epoch;
+    const auto r = is_default ? hw_default : run_one("dc", sys::Scenario::kCoolPimHw, cfg);
     t.row({Table::num(epoch_us, 0), Table::num(base.exec_time / r.exec_time, 2),
            Table::num(r.peak_dram_temp.value(), 1)});
   }
@@ -66,24 +64,18 @@ void print_epoch_sweep() {
   std::cout << "Results are stable across epoch lengths, validating the 10 us default.\n";
 }
 
-void BM_PolicyRun(benchmark::State& state) {
-  (void)workloads();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one("dc", sys::Scenario::kCoolPimHw).exec_time);
-  }
-}
-BENCHMARK(BM_PolicyRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
-    print_margin_sweep();
-    print_target_sweep();
-    print_epoch_sweep();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    coolpim::bench::parse_args(argc, argv);
+    // The sweeps share two experiments: the baseline, and CoolPIM HW at the
+    // default warning threshold and epoch.  Each runs once.
+    const auto base = run_one("dc", sys::Scenario::kNonOffloading);
+    const auto hw_default = run_one("dc", sys::Scenario::kCoolPimHw);
+    print_margin_sweep(base);
+    print_target_sweep(base, hw_default);
+    print_epoch_sweep(base, hw_default);
     return 0;
   });
 }

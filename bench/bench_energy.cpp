@@ -2,8 +2,6 @@
 // fan.  The paper motivates PIM by energy efficiency and notes that the
 // extended temperature range "incurs higher energy consumption"; this bench
 // quantifies both effects in one table.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -36,24 +34,12 @@ void print_energy() {
          "staying in the normal range while still finishing sooner than the baseline.\n";
 }
 
-void BM_EnergyExtraction(benchmark::State& state) {
-  const auto& matrix = scenario_matrix();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto& row : matrix) acc += row.at(sys::Scenario::kCoolPimHw).total_energy_j();
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_EnergyExtraction);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_energy();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

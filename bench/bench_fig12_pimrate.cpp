@@ -1,6 +1,4 @@
 // Fig. 12: average PIM offloading rate per workload, naive vs CoolPIM.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -30,26 +28,12 @@ void print_fig12() {
          "thermal budget, while naive offloading pushes far past it (paper Fig. 12).\n";
 }
 
-void BM_PimRateExtraction(benchmark::State& state) {
-  const auto& matrix = scenario_matrix();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto& row : matrix) {
-      acc += row.at(sys::Scenario::kCoolPimHw).avg_pim_rate_op_per_ns();
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_PimRateExtraction);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_fig12();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

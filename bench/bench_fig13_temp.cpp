@@ -1,7 +1,5 @@
 // Fig. 13: peak DRAM temperature per workload under naive offloading and the
 // two CoolPIM mechanisms.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -36,26 +34,12 @@ void print_fig13() {
          "CoolPIM keeps every workload at or below ~85 C.\n";
 }
 
-void BM_TempExtraction(benchmark::State& state) {
-  const auto& matrix = scenario_matrix();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto& row : matrix) {
-      acc += row.at(sys::Scenario::kNaiveOffloading).peak_dram_temp.value();
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_TempExtraction);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_fig13();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

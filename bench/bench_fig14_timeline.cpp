@@ -2,8 +2,6 @@
 // the software/hardware CoolPIM controls.  The run starts just below the
 // thermal-warning threshold (sustained prior offloading activity), so the
 // warning arrives early in the window, as in the paper.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -66,23 +64,12 @@ void print_fig14() {
             << Table::num(hw.exec_time.as_ms(), 2) << " ms.\n";
 }
 
-void BM_TransientRun(benchmark::State& state) {
-  (void)workloads();
-  for (auto _ : state) {
-    const auto r = transient_run(sys::Scenario::kCoolPimHw);
-    benchmark::DoNotOptimize(r.exec_time);
-  }
-}
-BENCHMARK(BM_TransientRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_fig14();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

@@ -1,7 +1,5 @@
 // Fig. 1: thermal evaluation of the real HMC 1.1 prototype (AC-510 module)
 // across heat sinks and load, reproduced with the calibrated module model.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -57,27 +55,12 @@ void print_fig1() {
                "operate at full bandwidth -- the die crosses the conservative ~95 C shutdown.\n";
 }
 
-void BM_PrototypeSteadySolve(benchmark::State& state) {
-  const hmc::LinkModel link{hmc::hmc11_config()};
-  const auto op = bench::read_traffic(link, 60.0);
-  for (auto _ : state) {
-    thermal::HmcThermalModel model{
-        thermal::hmc11_thermal_config(power::CoolingType::kPassive, 30.0)};
-    model.apply_power(power::compute_power(power::EnergyParams{}, op));
-    model.solve_steady();
-    benchmark::DoNotOptimize(model.peak_dram());
-  }
-}
-BENCHMARK(BM_PrototypeSteadySolve)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_fig1();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

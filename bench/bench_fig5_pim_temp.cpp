@@ -1,7 +1,5 @@
 // Fig. 5: thermal impact of PIM offloading -- peak DRAM temperature vs PIM
 // rate with fully utilized links and a commodity-server sink.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -46,29 +44,12 @@ void print_fig5() {
             << " op/ns (paper: 6.5 op/ns).\n";
 }
 
-void BM_Fig5Point(benchmark::State& state) {
-  const hmc::LinkModel link{hmc::hmc20_config()};
-  const power::EnergyParams ep;
-  const double rate = static_cast<double>(state.range(0)) / 10.0;
-  for (auto _ : state) {
-    thermal::HmcThermalModel model{
-        thermal::hmc20_thermal_config(power::CoolingType::kCommodityServer)};
-    model.apply_power(power::compute_power(ep, bench::pim_traffic(link, rate)));
-    model.solve_steady();
-    benchmark::DoNotOptimize(model.peak_dram());
-  }
-  state.counters["op_per_ns"] = rate;
-}
-BENCHMARK(BM_Fig5Point)->Arg(13)->Arg(40)->Arg(65)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_fig5();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

@@ -2,8 +2,6 @@
 // up to six modules).  Sweeps cube count and hub-traffic skew through the
 // one epoch loop (SystemConfig::cubes / atomic_skew), so the 1-cube row is
 // the single-cube simulator's own result.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -66,26 +64,13 @@ void print_skew() {
                "per-response ERRSTAT transport makes that per-cube feedback free.\n";
 }
 
-void BM_MultiCubeRun(benchmark::State& state) {
-  // System::run directly: the runner's result cache would time a lookup.
-  sys::SystemConfig cfg;
-  cfg.cubes = static_cast<std::size_t>(state.range(0));
-  cfg.atomic_skew = 1.0 / static_cast<double>(cfg.cubes);
-  sys::System system{cfg};
-  const auto& profile = workloads().profile("dc");
-  for (auto _ : state) benchmark::DoNotOptimize(system.run(profile).exec_time);
-}
-BENCHMARK(BM_MultiCubeRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_scaling();
     print_skew();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

@@ -1,15 +1,10 @@
-// Table I: HMC memory transaction bandwidth requirement in FLITs, plus
-// google-benchmark measurements of the event-detailed device's service rates
-// per transaction type.
-#include <benchmark/benchmark.h>
-
+// Table I: HMC memory transaction bandwidth requirement in FLITs.
 #include <iostream>
 
 #include "common/main.hpp"
 #include "common/table.hpp"
 
 #include "support.hpp"
-#include "hmc/device.hpp"
 #include "hmc/packet.hpp"
 
 using namespace coolpim;
@@ -32,37 +27,12 @@ void print_table1() {
             << "% of the link FLITs per update (paper Section II-B).\n";
 }
 
-void BM_DeviceTransaction(benchmark::State& state, hmc::TransactionType type) {
-  for (auto _ : state) {
-    sim::Simulation sim;
-    hmc::Device dev{sim, hmc::hmc20_config()};
-    constexpr int kOps = 1000;
-    int done = 0;
-    for (int i = 0; i < kOps; ++i) {
-      dev.submit({type, static_cast<std::uint64_t>(i) * 64, 0},
-                 [&](const hmc::Response&) { ++done; });
-    }
-    sim.run_to_completion();
-    benchmark::DoNotOptimize(done);
-    state.counters["flits_per_op"] =
-        static_cast<double>(hmc::flit_cost(type).total());
-    state.counters["sim_ns_per_op"] = sim.now().as_ns() / kOps;
-  }
-}
-
-BENCHMARK_CAPTURE(BM_DeviceTransaction, read64, hmc::TransactionType::kRead64);
-BENCHMARK_CAPTURE(BM_DeviceTransaction, write64, hmc::TransactionType::kWrite64);
-BENCHMARK_CAPTURE(BM_DeviceTransaction, pim_no_return, hmc::TransactionType::kPimNoReturn);
-BENCHMARK_CAPTURE(BM_DeviceTransaction, pim_with_return, hmc::TransactionType::kPimWithReturn);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_table1();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

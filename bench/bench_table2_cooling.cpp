@@ -1,7 +1,5 @@
 // Table II: typical cooling types -- thermal resistance and fan power --
 // plus the fan-curve interpolation used by the cooling ablations.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/main.hpp"
@@ -36,23 +34,12 @@ void print_table2() {
             << " W of fan power.\n";
 }
 
-void BM_FanCurveLookup(benchmark::State& state) {
-  double r = 0.2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(power::fan_power_for_resistance(ThermalResistance{r}));
-    r = r >= 2.0 ? 0.2 : r + 0.01;
-  }
-}
-BENCHMARK(BM_FanCurveLookup);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_table2();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

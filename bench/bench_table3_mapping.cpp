@@ -1,7 +1,5 @@
-// Table III: examples of PIM instruction mapping, plus a micro-benchmark of
-// the dynamic decode translation HW-DynT performs.
-#include <benchmark/benchmark.h>
-
+// Table III: examples of PIM instruction mapping (the dynamic decode
+// translation HW-DynT performs).
 #include <iostream>
 
 #include "common/main.hpp"
@@ -29,38 +27,12 @@ void print_table3() {
   t.print(std::cout);
 }
 
-void BM_DynamicTranslation(benchmark::State& state) {
-  // HW-DynT translates PIM instructions back to CUDA atomics at decode for
-  // PIM-disabled warps; the mapping must be branch-cheap.
-  const hmc::PimOpcode ops[] = {hmc::PimOpcode::kSignedAdd8, hmc::PimOpcode::kCasGreater,
-                                hmc::PimOpcode::kFpAdd, hmc::PimOpcode::kOr};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::to_cuda(ops[i & 3]));
-    ++i;
-  }
-}
-BENCHMARK(BM_DynamicTranslation);
-
-void BM_OffloadMapping(benchmark::State& state) {
-  const core::CudaAtomic ops[] = {core::CudaAtomic::kAtomicAdd, core::CudaAtomic::kAtomicMin,
-                                  core::CudaAtomic::kAtomicCAS, core::CudaAtomic::kAtomicOr};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::to_pim(ops[i & 3]));
-    ++i;
-  }
-}
-BENCHMARK(BM_OffloadMapping);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   return coolpim::run_main([&] {
-    coolpim::bench::init_observability(&argc, argv);
+    coolpim::bench::parse_args(argc, argv);
     print_table3();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
   });
 }

@@ -2,10 +2,10 @@
 // perf_sim): a monotonic stopwatch and a minimal JSON emitter for the
 // BENCH_*.json result files validated by tools/check_bench.py.
 //
-// Unlike the figure benches, the perf binaries do not use google-benchmark:
-// they time whole kernel passes with std::chrono so the measured quantity
-// (ns/cell-substep, events/sec, end-to-end wall time) maps one-to-one onto
-// a JSON field with no statistical post-processing in between.
+// The perf binaries time whole kernel passes with std::chrono so the
+// measured quantity (ns/cell-substep, events/sec, end-to-end wall time) maps
+// one-to-one onto a JSON field with no statistical post-processing in
+// between.
 #pragma once
 
 #include <chrono>

@@ -6,8 +6,8 @@
 #include <iostream>
 #include <iterator>
 #include <optional>
-#include <unordered_set>
 
+#include "common/error.hpp"
 #include "obs/observer.hpp"
 #include "runner/experiment.hpp"
 
@@ -16,7 +16,7 @@ namespace coolpim::bench {
 namespace {
 
 /// Single mutable slot behind run_config(): COOLPIM_* environment at first
-/// use, --flags overlaid by init_observability() before anything consumes it.
+/// use, --flags overlaid by parse_args() before anything consumes it.
 sys::RunConfig& mutable_run_config() {
   static sys::RunConfig rc = sys::RunConfig::from_env();
   return rc;
@@ -26,9 +26,6 @@ sys::RunConfig& mutable_run_config() {
 /// Output files are flushed from the destructor at normal process exit.
 struct ObsState {
   std::optional<obs::SweepObserver> obs;
-  /// Experiment keys already recorded; micro-phase repeats of a table-phase
-  /// run are served from the result cache instead of being re-traced.
-  std::unordered_set<std::uint64_t> seen;
 
   ObsState() { refresh(); }
 
@@ -71,13 +68,26 @@ sys::SystemConfig with_process_faults(sys::SystemConfig base) {
   return base;
 }
 
+/// Runner options for every bench experiment: the configured jobs count and
+/// the process-wide observer, if a sink is set.
+runner::RunOptions run_options() {
+  runner::RunOptions opt;
+  opt.jobs = run_config().jobs;
+  if (auto& state = obs_state(); state.obs) opt.obs = &*state.obs;
+  return opt;
+}
+
 }  // namespace
 
 const sys::RunConfig& run_config() { return mutable_run_config(); }
 
-void init_observability(int* argc, char** argv) {
+void parse_args(int argc, char** argv) {
   auto& rc = mutable_run_config();
-  rc = sys::RunConfig::from_args(argc, argv, rc);
+  rc = sys::RunConfig::from_args(&argc, argv, rc);
+  if (argc > 1) {
+    throw ConfigError("unknown option: " + std::string{argv[1]} + "\naccepted flags:\n" +
+                      sys::RunConfig::flags_help());
+  }
   obs_state().refresh();
 }
 
@@ -91,45 +101,16 @@ const sys::WorkloadSet& workloads() {
 
 sys::RunResult run_one(const std::string& workload, sys::Scenario scenario,
                        const sys::SystemConfig& base) {
-  // Routed through the runner so the micro phases of a bench binary reuse
-  // the table phase's cached results for identical (workload, scenario,
-  // config) triples.
-  const sys::SystemConfig cfg = with_process_faults(base);
-  runner::RunOptions opt;
-  opt.jobs = run_config().jobs;
-  auto& state = obs_state();
-  if (state.obs) {
-    sys::SystemConfig keyed = cfg;
-    keyed.scenario = scenario;
-    if (state.seen.insert(runner::experiment_key(workloads(), workload, keyed)).second) {
-      opt.obs = &*state.obs;
-    }
-  }
-  return runner::run_one(workloads(), workload, scenario, cfg, opt);
+  return runner::run_one(workloads(), workload, scenario, with_process_faults(base),
+                         run_options());
 }
 
 const std::vector<ScenarioRow>& scenario_matrix() {
   static const std::vector<ScenarioRow> matrix = [] {
     const std::vector<sys::Scenario> scenarios{std::begin(sys::kAllScenarios),
                                                std::end(sys::kAllScenarios)};
-    const sys::SystemConfig cfg = with_process_faults({});
-    runner::RunOptions opt;
-    opt.jobs = run_config().jobs;
-    auto& state = obs_state();
-    if (state.obs) {
-      opt.obs = &*state.obs;
-      // Mark every matrix cell as recorded so later run_one() calls on the
-      // same experiments reuse the cache instead of re-tracing.
-      for (const auto& w : sys::workload_names()) {
-        for (const auto s : scenarios) {
-          sys::SystemConfig keyed = cfg;
-          keyed.scenario = s;
-          state.seen.insert(runner::experiment_key(workloads(), w, keyed));
-        }
-      }
-    }
-    auto computed =
-        runner::run_matrix(workloads(), sys::workload_names(), scenarios, cfg, opt);
+    auto computed = runner::run_matrix(workloads(), sys::workload_names(), scenarios,
+                                       with_process_faults({}), run_options());
     std::vector<ScenarioRow> rows;
     rows.reserve(computed.size());
     for (auto& r : computed) {

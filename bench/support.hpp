@@ -1,7 +1,6 @@
 // Shared infrastructure for the reproduction benches: every bench binary
-// prints its paper table/figure and then runs its google-benchmark micro
-// measurements, so `for b in build/bench/*; do $b; done` regenerates the
-// whole evaluation.
+// prints its paper table/figure and exits, so running each bench_* binary in
+// build/bench regenerates the whole evaluation.
 #pragma once
 
 #include <map>
@@ -14,7 +13,7 @@
 namespace coolpim::bench {
 
 /// The process-wide run configuration: COOLPIM_* environment at first use,
-/// with any --flags overlaid by init_observability().  Every bench knob
+/// with any --flags overlaid by parse_args().  Every bench knob
 /// (scale, jobs, observability sinks, fault environment) resolves through
 /// this one sys::RunConfig.
 [[nodiscard]] const sys::RunConfig& run_config();
@@ -47,18 +46,17 @@ struct ScenarioRow {
 [[nodiscard]] const std::vector<ScenarioRow>& scenario_matrix();
 
 /// Run a single (workload, scenario) pair with an optionally tweaked config.
-/// Served from the process-wide result cache when the matrix already ran it.
+/// Every call runs (and, when observed, traces) the experiment, so a bench
+/// asks for each distinct experiment once.
 [[nodiscard]] sys::RunResult run_one(const std::string& workload, sys::Scenario scenario,
                                      const sys::SystemConfig& base = {});
 
-/// Observability for bench binaries: call first in main() to strip
-/// `--trace FILE` / `--counters FILE` from argv (before
-/// benchmark::Initialize swallows the argument list); the COOLPIM_TRACE /
-/// COOLPIM_COUNTERS environment variables work for any bench without the
-/// call.  Each *distinct* experiment the bench runs is recorded once (keyed
-/// by runner::experiment_key, so google-benchmark's repeat loops reuse the
-/// result cache instead of re-tracing), and the files are written when the
-/// process exits.  Schema: docs/OBSERVABILITY.md.
-void init_observability(int* argc, char** argv);
+/// Bench command line: call first in main().  Overlays the RunConfig flags
+/// (--scale, --jobs, --trace FILE, --counters FILE, ...) onto the COOLPIM_*
+/// environment and throws ConfigError on any argument left over.  With a
+/// trace or counter sink set, every experiment the bench runs is recorded
+/// and the files are written when the process exits.  Schema:
+/// docs/OBSERVABILITY.md.
+void parse_args(int argc, char** argv);
 
 }  // namespace coolpim::bench

@@ -1,7 +1,7 @@
 // Stable 64-bit hashing for experiment identity.
 //
-// The parallel runner keys its result cache and derives per-task RNG seeds
-// from a hash of (workload, scenario, config).  That hash must be stable
+// The parallel runner identifies each task and derives its RNG seed from a
+// hash of (workload, scenario, config).  That hash must be stable
 // across processes, platforms and standard libraries -- std::hash makes no
 // such promise -- so we use FNV-1a over an explicitly serialized byte
 // stream.  Doubles are hashed by bit pattern (the configs only ever hold

@@ -29,8 +29,8 @@ std::string backend_names() {
   return names;
 }
 
-EpochService EventDetailedBackend::do_serve(const EpochDemand& demand, Time epoch,
-                                            Celsius dram_temp) {
+EpochService EventDetailedBackend::serve(const EpochDemand& demand, Time epoch,
+                                         Celsius dram_temp) {
   return run_detailed(demand, epoch, dram_temp, carry_);
 }
 

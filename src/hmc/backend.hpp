@@ -14,16 +14,16 @@
 //                     counters, per-bank operand conflicts, DRAM timing
 //                     through hmc::Vault / hmc::Bank.
 //
-// The contract has three hooks:
+// The contract has two hooks:
 //   - serve-epoch: serve()/probe() resolve one epoch of demand at the
 //     current DRAM temperature (probe is the side-effect-free what-if form
 //     used by steady-state warm-up jumps and cross-validation).
-//   - op-accounting: every serve() integrates exact double op totals into
-//     ops(); drain_op_delta() emits integers with a residual carry so
-//     counter totals are single-rounded from the exact sums -- per-run
-//     pim_ops totals are backend-comparable by construction.
 //   - thermal-power: thermal_power() maps a served mix to the bandwidths
 //     the power model charges.
+// Op accounting is the caller's: sys::SystemRun adds each committed
+// EpochService to an OpTally, whose residual-carry drain single-rounds the
+// counter totals from the exact sums, so per-run pim_ops totals are
+// backend-comparable by construction.
 //
 // The registry mirrors control::Policy (control/registry.hpp): an iterable
 // kRegisteredBackends table, name lookup for --hmc-backend /
@@ -84,7 +84,7 @@ inline constexpr BackendInfo kRegisteredBackends[] = {
 /// Comma-separated registered names, for --help and error messages.
 [[nodiscard]] std::string backend_names();
 
-/// Exact (double) op totals integrated over every serve() so far.
+/// Exact (double) op totals integrated over every EpochService added.
 struct OpAccounting {
   double reads{0.0};
   double writes{0.0};
@@ -150,17 +150,13 @@ class Backend {
   [[nodiscard]] virtual const ThermalPolicy& policy() const = 0;
 
   /// Serve-epoch hook: resolve how much of `demand` the device serves in
-  /// `epoch` at DRAM temperature `dram_temp`, integrating the served ops
-  /// into the op-accounting totals.
-  [[nodiscard]] EpochService serve(const EpochDemand& demand, Time epoch,
-                                   Celsius dram_temp) {
-    const EpochService s = do_serve(demand, epoch, dram_temp);
-    ops_.add(s);
-    return s;
-  }
+  /// `epoch` at DRAM temperature `dram_temp`, advancing the backend's own
+  /// state (residual carries, operand streams).
+  [[nodiscard]] virtual EpochService serve(const EpochDemand& demand, Time epoch,
+                                           Celsius dram_temp) = 0;
 
-  /// Side-effect-free what-if serve: no op accounting, no internal state
-  /// advanced (warm-up equilibrium probes, cross-validation sweeps).
+  /// Side-effect-free what-if serve: no internal state advanced (warm-up
+  /// equilibrium probes, cross-validation sweeps).
   [[nodiscard]] virtual EpochService probe(const EpochDemand& demand, Time epoch,
                                            Celsius dram_temp) const = 0;
 
@@ -169,21 +165,8 @@ class Backend {
     return {link().raw_link_bandwidth(served), link().internal_dram_bandwidth(served)};
   }
 
-  /// Op-accounting hook: exact totals since construction.
-  [[nodiscard]] const OpAccounting& ops() const { return ops_.totals(); }
-
-  /// Integer ops since the previous drain (OpTally's residual carry).
-  [[nodiscard]] OpDelta drain_op_delta() { return ops_.drain(); }
-
   /// Observability attach point; read-only, null by default.
   virtual void set_observer(obs::Trace /*trace*/, obs::CounterRegistry* /*counters*/) {}
-
- protected:
-  [[nodiscard]] virtual EpochService do_serve(const EpochDemand& demand, Time epoch,
-                                              Celsius dram_temp) = 0;
-
- private:
-  OpTally ops_{};
 };
 
 /// The analytic epoch model refitted under the contract.  serve() forwards
@@ -199,18 +182,16 @@ class EpochThroughputBackend final : public Backend {
   [[nodiscard]] const LinkModel& link() const override { return model_.link(); }
   [[nodiscard]] const ThermalPolicy& policy() const override { return model_.policy(); }
 
+  [[nodiscard]] EpochService serve(const EpochDemand& demand, Time epoch,
+                                   Celsius dram_temp) override {
+    return model_.serve(demand, epoch, dram_temp);
+  }
   [[nodiscard]] EpochService probe(const EpochDemand& demand, Time epoch,
                                    Celsius dram_temp) const override {
     return model_.serve(demand, epoch, dram_temp);
   }
 
   [[nodiscard]] const ThroughputModel& model() const { return model_; }
-
- protected:
-  [[nodiscard]] EpochService do_serve(const EpochDemand& demand, Time epoch,
-                                      Celsius dram_temp) override {
-    return model_.serve(demand, epoch, dram_temp);
-  }
 
  private:
   ThroughputModel model_;
@@ -237,12 +218,10 @@ class EventDetailedBackend final : public Backend {
   [[nodiscard]] const LinkModel& link() const override { return link_; }
   [[nodiscard]] const ThermalPolicy& policy() const override { return policy_; }
 
+  [[nodiscard]] EpochService serve(const EpochDemand& demand, Time epoch,
+                                   Celsius dram_temp) override;
   [[nodiscard]] EpochService probe(const EpochDemand& demand, Time epoch,
                                    Celsius dram_temp) const override;
-
- protected:
-  [[nodiscard]] EpochService do_serve(const EpochDemand& demand, Time epoch,
-                                      Celsius dram_temp) override;
 
  private:
   struct Carry {

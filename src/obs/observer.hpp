@@ -48,7 +48,6 @@ class SweepObserver {
     std::string scenario;
     std::uint64_t key{0};   // runner experiment key (stable task identity)
     std::uint64_t seed{0};  // RNG seed derived from the key
-    bool cache_hit{false};
     Time exec_time{Time::zero()};
     RunObserver obs;
   };

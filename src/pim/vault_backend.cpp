@@ -24,8 +24,8 @@ hmc::EpochService PimVaultBackend::probe(const hmc::EpochDemand& demand, Time ep
   return run_vaults(demand, epoch, dram_temp, scratch, nullptr);
 }
 
-hmc::EpochService PimVaultBackend::do_serve(const hmc::EpochDemand& demand, Time epoch,
-                                            Celsius dram_temp) {
+hmc::EpochService PimVaultBackend::serve(const hmc::EpochDemand& demand, Time epoch,
+                                         Celsius dram_temp) {
   last_crf_trace_.clear();
   return run_vaults(demand, epoch, dram_temp, carry_, &last_crf_trace_);
 }

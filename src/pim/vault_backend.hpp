@@ -46,6 +46,8 @@ class PimVaultBackend final : public hmc::Backend {
     return analytic_.policy();
   }
 
+  [[nodiscard]] hmc::EpochService serve(const hmc::EpochDemand& demand, Time epoch,
+                                        Celsius dram_temp) override;
   [[nodiscard]] hmc::EpochService probe(const hmc::EpochDemand& demand, Time epoch,
                                         Celsius dram_temp) const override;
 
@@ -60,10 +62,6 @@ class PimVaultBackend final : public hmc::Backend {
   [[nodiscard]] const std::vector<CrfTraceEntry>& last_crf_trace() const {
     return last_crf_trace_;
   }
-
- protected:
-  [[nodiscard]] hmc::EpochService do_serve(const hmc::EpochDemand& demand, Time epoch,
-                                           Celsius dram_temp) override;
 
  private:
   struct Carry {

@@ -4,9 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -78,48 +76,27 @@ void hash_energy(HashStream& h, const power::EnergyParams& e) {
   }
 }
 
-struct ResultCache {
-  std::mutex mu;
-  std::unordered_map<std::uint64_t, sys::RunResult> entries;
-  std::uint64_t hits{0};
-  std::uint64_t misses{0};
-};
-
-ResultCache& cache() {
-  static ResultCache c;
-  return c;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
 }
 
-sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e, bool use_cache,
-                        obs::SweepObserver::TaskRecord* rec = nullptr) {
+/// The two fields the benchmark harness still assigns accept only their
+/// defaults.
+void check_options(const RunOptions& opt) {
+  COOLPIM_REQUIRE(opt.sweep_batch == 1, "RunOptions::sweep_batch must be 1");
+  COOLPIM_REQUIRE(!opt.use_cache, "RunOptions::use_cache must be false");
+}
+
+sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e,
+                        obs::SweepObserver::TaskRecord* rec) {
   const std::uint64_t key = experiment_key(set, e.workload, e.config);
-  if (use_cache && rec == nullptr) {
-    auto& c = cache();
-    std::lock_guard<std::mutex> lk{c.mu};
-    if (auto it = c.entries.find(key); it != c.entries.end()) {
-      ++c.hits;
-      return it->second;
-    }
-    ++c.misses;
-  }
   sys::SystemConfig cfg = e.config;
   cfg.run_seed = derive_seed(key);
   if (rec != nullptr) {
-    // Observed tasks never take the cache shortcut (a cached RunResult
-    // carries no trace); note whether the result was already cached.
     rec->key = key;
     rec->seed = cfg.run_seed;
-    {
-      auto& c = cache();
-      std::lock_guard<std::mutex> lk{c.mu};
-      rec->cache_hit = c.entries.find(key) != c.entries.end();
-    }
     cfg.observer = &rec->obs;
   }
   sys::System system{cfg};
@@ -132,20 +109,11 @@ sys::RunResult run_task(const sys::WorkloadSet& set, const Experiment& e, bool u
     for (const auto& ev : rec->obs.trace_buffer.events()) {
       span_end = std::max(span_end, ev.ts + ev.dur);
     }
-    rec->obs.trace_buffer.complete(
-        Time::zero(), span_end, obs::names::kCatRunner, "task",
-        {{"workload", e.workload},
-         {"scenario", result.scenario},
-         {"key", hex64(key)},
-         {"seed", hex64(cfg.run_seed)},
-         {"cache_hit", rec->cache_hit}});
-  }
-  if (use_cache) {
-    auto& c = cache();
-    std::lock_guard<std::mutex> lk{c.mu};
-    // Two threads racing on the same key compute identical results (that is
-    // the determinism contract), so last-writer-wins insertion is benign.
-    c.entries.insert_or_assign(key, result);
+    rec->obs.trace_buffer.complete(Time::zero(), span_end, obs::names::kCatRunner, "task",
+                                   {{"workload", e.workload},
+                                    {"scenario", result.scenario},
+                                    {"key", hex64(key)},
+                                    {"seed", hex64(cfg.run_seed)}});
   }
   return result;
 }
@@ -231,14 +199,14 @@ std::uint64_t experiment_key(const sys::WorkloadSet& set, const std::string& wor
 }
 
 std::uint64_t derive_seed(std::uint64_t key) {
-  // Salted so the seed stream is decoupled from the cache-key stream.
+  // Salted so the seed stream is decoupled from the key stream.
   return mix_seed(key ^ 0xc001'0a1a'5eed'0001ULL);
 }
 
 std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
                                       const std::vector<Experiment>& experiments,
                                       const RunOptions& opt) {
-  COOLPIM_REQUIRE(opt.sweep_batch == 1, "RunOptions::sweep_batch must be 1");
+  check_options(opt);
   std::vector<sys::RunResult> results(experiments.size());
   // Failures land in per-experiment slots: the one rethrown is the lowest
   // index, not whichever finished first, so the error a sweep reports does
@@ -254,9 +222,9 @@ std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
       rec = opt.obs->add_task(experiments[i].workload,
                               std::string{sys::to_string(experiments[i].config.scenario)});
     }
-    pool.submit([&set, &experiments, &results, &errors, &opt, i, rec] {
+    pool.submit([&set, &experiments, &results, &errors, i, rec] {
       try {
-        results[i] = run_task(set, experiments[i], opt.use_cache, rec);
+        results[i] = run_task(set, experiments[i], rec);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -301,6 +269,7 @@ std::vector<MatrixRow> run_matrix(const sys::WorkloadSet& set,
 sys::RunResult run_one(const sys::WorkloadSet& set, const std::string& workload,
                        sys::Scenario scenario, const sys::SystemConfig& base,
                        const RunOptions& opt) {
+  check_options(opt);
   Experiment e;
   e.workload = workload;
   e.config = base;
@@ -309,21 +278,7 @@ sys::RunResult run_one(const sys::WorkloadSet& set, const std::string& workload,
   if (opt.obs != nullptr) {
     rec = opt.obs->add_task(e.workload, std::string{sys::to_string(scenario)});
   }
-  return run_task(set, e, opt.use_cache, rec);
-}
-
-CacheStats cache_stats() {
-  auto& c = cache();
-  std::lock_guard<std::mutex> lk{c.mu};
-  return CacheStats{c.entries.size(), c.hits, c.misses};
-}
-
-void clear_result_cache() {
-  auto& c = cache();
-  std::lock_guard<std::mutex> lk{c.mu};
-  c.entries.clear();
-  c.hits = 0;
-  c.misses = 0;
+  return run_task(set, e, rec);
 }
 
 }  // namespace coolpim::runner

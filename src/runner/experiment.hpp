@@ -3,16 +3,13 @@
 //
 // Every task is identified by a stable 64-bit key -- an FNV-1a hash of the
 // workload-set identity (scale, graph seed), the workload name and every
-// field of its SystemConfig.  The key serves two purposes:
-//
-//  * Seeding: the task's RNG seed (SystemConfig::run_seed) is derived from
-//    the key, so a task draws the same random stream no matter which thread
-//    runs it, in what order, or at what jobs count.  jobs=1 and jobs=N
-//    sweeps are bit-identical (property-tested in test_runner).
-//  * Caching: results are memoized process-wide under the key, so a bench
-//    binary that runs the scenario matrix for its table phase and then
-//    re-runs (workload, scenario) pairs in its google-benchmark micro phase
-//    reuses the finished runs instead of recomputing them.
+// field of its SystemConfig.  The task's RNG seed (SystemConfig::run_seed)
+// is derived from the key, so a task draws the same random stream no matter
+// which thread runs it, in what order, or at what jobs count.  jobs=1 and
+// jobs=N sweeps are bit-identical (property-tested in test_runner).  Every
+// call runs its experiments: nothing is memoized across calls, so a traced
+// sweep's output depends only on the sweep, not on what the process ran
+// before it.
 //
 // Because run_seed is derived from the key, it is excluded from the hash
 // itself; the runner overwrites whatever value the caller left there.
@@ -42,14 +39,13 @@ struct RunOptions {
   /// because the repository benchmark's harness still assigns it; the field
   /// goes away in the benchmark change that drops that assignment.
   unsigned sweep_batch{1};
-  /// Consult/populate the process-wide result cache.
-  bool use_cache{true};
+  /// Must be false; run_sweep/run_one throw ConfigError when it is true.
+  /// Kept, like sweep_batch, only for the benchmark harness's assignment.
+  bool use_cache{false};
   /// Sweep-level observability collector (nullptr = no recording).  Each
   /// task gets its own RunObserver, allocated on the submitting thread in
   /// submission order, so the merged trace/counter files are byte-identical
-  /// at any jobs count.  An observed task always executes the simulation --
-  /// the result cache is only *populated*, never short-circuited, because a
-  /// cached RunResult carries no trace.
+  /// at any jobs count.
   obs::SweepObserver* obs{nullptr};
 };
 
@@ -84,19 +80,10 @@ struct MatrixRow {
                                                 const sys::SystemConfig& base = {},
                                                 const RunOptions& opt = {});
 
-/// Single (workload, scenario) run through the same key/seed/cache path.
+/// Single (workload, scenario) run through the same key/seed path.
 [[nodiscard]] sys::RunResult run_one(const sys::WorkloadSet& set, const std::string& workload,
                                      sys::Scenario scenario,
                                      const sys::SystemConfig& base = {},
                                      const RunOptions& opt = {});
-
-/// Process-wide result-cache introspection (tests, diagnostics).
-struct CacheStats {
-  std::size_t entries{0};
-  std::uint64_t hits{0};
-  std::uint64_t misses{0};
-};
-[[nodiscard]] CacheStats cache_stats();
-void clear_result_cache();
 
 }  // namespace coolpim::runner

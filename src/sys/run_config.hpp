@@ -7,9 +7,9 @@
 //   RunConfig rc = RunConfig::from_args(&argc, argv, RunConfig::from_env());
 //
 // from_args() consumes (removes from argv) exactly the flags it recognizes,
-// so binaries with their own argument parsing -- google-benchmark included --
-// can run it first and hand the remainder on.  Malformed values throw
-// ConfigError with the offending name, never silently default.
+// so binaries with their own argument parsing can run it first and handle
+// the remainder.  Malformed values throw ConfigError with the offending
+// name, never silently default.
 //
 // The fault sub-config (--fault-* / COOLPIM_FAULT_*) is carried whole and
 // applied to a SystemConfig with apply_to(); with no fault knob set it is the

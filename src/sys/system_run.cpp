@@ -469,10 +469,11 @@ void SystemRun::warmup_jump() {
   // Fast-forward to the sustained equilibrium: the heat sink's own time
   // constant is tens of seconds, far beyond what a pass can move, so solve
   // for the steady state of the pass's average served traffic at the
-  // corresponding derate level.  The average is smoothed across repetitions
-  // (EMA) to damp the bistable hot/cool ping-pong a single pass average can
-  // induce near the derating boundary.
-  ema_ = pass_out_.demand_per_sec;
+  // corresponding derate level.  The jump uses this pass's average demand
+  // as is: nothing is smoothed across repetitions, so there is no damping
+  // of a hot/cool ping-pong near the derating boundary beyond the bounded
+  // repetition count.
+  //
   // Sustained-equilibrium jump: at each candidate derate level, serve the
   // pass's offered demand at that level and solve for the steady state of
   // the *served* traffic under that level's hot-energy penalty.  Accept the
@@ -481,11 +482,12 @@ void SystemRun::warmup_jump() {
   // the equilibrium straddles the 85 C boundary, which the extended-level
   // solution represents best.  Each cube jumps on its own share.
   for (Cube& c : cubes_) {
-    const hmc::EpochDemand share = share_of(ema_, c.regular_share, c.pim_share);
+    const hmc::EpochDemand share =
+        share_of(pass_out_.demand_per_sec, c.regular_share, c.pim_share);
     auto solve_at = [&](int level) {
       const Celsius probe{level == 0 ? 80.0 : (level == 1 ? 90.0 : 100.0)};
-      // probe(): what-if serve with no op accounting and no backend state
-      // advanced -- the jump is a fast-forward, not served traffic.
+      // probe(): what-if serve with no backend state advanced and nothing
+      // committed -- the jump is a fast-forward, not served traffic.
       const auto svc = c.backend->probe(share, Time::sec(1.0), probe);
       power::OperatingPoint op;
       op.link_raw = svc.link_raw;

@@ -188,7 +188,6 @@ class SystemRun {
   unsigned rep_{0};
   Celsius prev_peak_{0.0};
   std::uint64_t prev_adjustments_{0};
-  hmc::EpochDemand ema_{};
 };
 
 }  // namespace coolpim::sys

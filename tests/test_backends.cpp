@@ -1,5 +1,5 @@
 // Tests for the hmc::Backend fidelity contract (DESIGN.md section 15): the
-// named registry behind --hmc-backend, the op-accounting drain semantics,
+// named registry behind --hmc-backend, the OpTally drain semantics,
 // byte-identity of the default tier against the bare ThroughputModel, CRF
 // trace determinism of the instruction-level pim-vault tier, experiment-key
 // stability, cross-validation within the documented tolerance, and the
@@ -57,14 +57,11 @@ TEST(BackendRegistryTest, EveryRegisteredBackendRoundTrips) {
     EXPECT_EQ(backend->kind(), info.kind);
     EXPECT_EQ(backend->name(), info.cli_name);
 
-    // One served epoch flows through the op-accounting hook.
+    // One served epoch.
     const hmc::EpochService s = backend->serve(mixed_demand(), kEpoch, kCool);
     EXPECT_GT(s.pim_ops, 0.0);
     EXPECT_GT(s.reads, 0.0);
     EXPECT_FALSE(s.shut_down);
-    EXPECT_DOUBLE_EQ(backend->ops().pim_ops, s.pim_ops);
-    EXPECT_DOUBLE_EQ(backend->ops().reads, s.reads);
-    EXPECT_DOUBLE_EQ(backend->ops().writes, s.writes);
   }
 }
 
@@ -123,10 +120,6 @@ TEST(BackendContractTest, ProbeIsSideEffectFree) {
     const auto backend = hmc::make_backend(build_for(info.kind));
     const auto probed = backend->probe(mixed_demand(), kEpoch, kCool);
     EXPECT_GT(probed.pim_ops, 0.0);
-    // No accounting, no drained delta: probe never serves.
-    EXPECT_DOUBLE_EQ(backend->ops().pim_ops, 0.0);
-    const hmc::OpDelta d = backend->drain_op_delta();
-    EXPECT_EQ(d.reads + d.writes + d.pim_ops, 0u);
     // A serve after the probe sees the same state a fresh backend would.
     const auto fresh = hmc::make_backend(build_for(info.kind));
     const auto after_probe = backend->serve(mixed_demand(), kEpoch, kCool);
@@ -136,28 +129,28 @@ TEST(BackendContractTest, ProbeIsSideEffectFree) {
   }
 }
 
-TEST(BackendContractTest, DrainEmitsSingleRoundedTotals) {
+TEST(OpTallyTest, DrainEmitsSingleRoundedTotals) {
   // Fractional per-epoch ops must never drift: the sum of all integer
   // drains equals the single rounding of the exact total.
-  hmc::EpochThroughputBackend backend{hmc::hmc20_config()};
-  hmc::EpochDemand d;
-  d.reads = 1000.3;
-  d.writes = 0.4;
-  d.pim_ops = 10.7;
+  hmc::OpTally tally;
+  hmc::EpochService s;
+  s.reads = 1000.3;
+  s.writes = 0.4;
+  s.pim_ops = 10.7;
   std::uint64_t reads = 0, writes = 0, pim = 0;
   for (int i = 0; i < 1000; ++i) {
-    (void)backend.serve(d, kEpoch, kCool);
-    const hmc::OpDelta delta = backend.drain_op_delta();
+    tally.add(s);
+    const hmc::OpDelta delta = tally.drain();
     reads += delta.reads;
     writes += delta.writes;
     pim += delta.pim_ops;
   }
-  EXPECT_EQ(reads, static_cast<std::uint64_t>(backend.ops().reads + 0.5));
-  EXPECT_EQ(writes, static_cast<std::uint64_t>(backend.ops().writes + 0.5));
-  EXPECT_EQ(pim, static_cast<std::uint64_t>(backend.ops().pim_ops + 0.5));
-  // Zero demand drains zero.
-  (void)backend.serve(hmc::EpochDemand{}, kEpoch, kCool);
-  const hmc::OpDelta delta = backend.drain_op_delta();
+  EXPECT_EQ(reads, static_cast<std::uint64_t>(tally.totals().reads + 0.5));
+  EXPECT_EQ(writes, static_cast<std::uint64_t>(tally.totals().writes + 0.5));
+  EXPECT_EQ(pim, static_cast<std::uint64_t>(tally.totals().pim_ops + 0.5));
+  // Zero service drains zero.
+  tally.add(hmc::EpochService{});
+  const hmc::OpDelta delta = tally.drain();
   EXPECT_EQ(delta.reads + delta.writes + delta.pim_ops, 0u);
 }
 
@@ -238,8 +231,8 @@ TEST(BackendSystemTest, FullRunsCompleteOnEveryTierWithComparableOpTotals) {
     EXPECT_GT(r.pim_ops, 0u);
     pim_totals.push_back(r.pim_ops);
   }
-  // The op-accounting hook makes per-run pim_ops totals backend-comparable
-  // by construction: same workload, same single-rounded counting.
+  // SystemRun's OpTally makes per-run pim_ops totals backend-comparable by
+  // construction: same workload, same single-rounded counting.
   for (const std::uint64_t total : pim_totals) {
     const double ratio = static_cast<double>(total) / static_cast<double>(pim_totals[0]);
     EXPECT_NEAR(ratio, 1.0, pim::kXvalTolerance);
@@ -284,10 +277,8 @@ TEST(BackendSystemTest, SweepsAreBitIdenticalAcrossJobCountsOnEveryTier) {
   }
   runner::RunOptions serial;
   serial.jobs = 1;
-  serial.use_cache = false;
   runner::RunOptions wide;
   wide.jobs = 8;
-  wide.use_cache = false;
 
   const auto a = runner::run_sweep(set, tasks, serial);
   const auto b = runner::run_sweep(set, tasks, wide);
@@ -324,7 +315,7 @@ TEST(BackendDocsSyncTest, FidelityVocabularyIsPinnedToTheDocs) {
     EXPECT_NE(experiments.find(quoted), std::string::npos)
         << quoted << " not documented in EXPERIMENTS.md";
   }
-  for (const char* needle : {"## 15.", "--hmc-backend", "drain_op_delta",
+  for (const char* needle : {"## 15.", "--hmc-backend", "OpTally",
                              "pim-vault", "cross-validation"}) {
     EXPECT_NE(design.find(needle), std::string::npos)
         << needle << " not documented in DESIGN.md";

@@ -305,10 +305,8 @@ TEST_F(FaultSweepTest, FaultPatternsBitIdenticalAcrossJobsCounts) {
   }
   runner::RunOptions serial;
   serial.jobs = 1;
-  serial.use_cache = false;
   runner::RunOptions parallel;
   parallel.jobs = 8;
-  parallel.use_cache = false;
   const auto a = runner::run_sweep(set(), experiments, serial);
   const auto b = runner::run_sweep(set(), experiments, parallel);
   ASSERT_EQ(a.size(), b.size());
@@ -332,7 +330,6 @@ TEST_F(FaultSweepTest, ZeroRateConfigBitIdenticalToFaultFreeRun) {
   ASSERT_FALSE(touched.fault.enabled());
   runner::RunOptions opt;
   opt.jobs = 1;
-  opt.use_cache = false;
   const auto a = runner::run_one(set(), "pagerank", sys::Scenario::kCoolPimHw, plain, opt);
   const auto b = runner::run_one(set(), "pagerank", sys::Scenario::kCoolPimHw, touched, opt);
   EXPECT_EQ(a.peak_dram_temp.value(), b.peak_dram_temp.value());
@@ -349,7 +346,6 @@ TEST_F(FaultSweepTest, WatchdogBoundsTemperatureAtFullDrop) {
   // naive (uncontrolled) profile -- i.e. the watchdog actually degrades.
   runner::RunOptions opt;
   opt.jobs = 1;
-  opt.use_cache = false;
   sys::SystemConfig blind;
   blind.scenario = sys::Scenario::kCoolPimHw;
   blind.fault.warning_drop_rate = 1.0;

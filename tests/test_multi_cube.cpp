@@ -114,7 +114,6 @@ TEST(MultiCube, SweepIsJobsInvariant) {
   auto sweep = [&](unsigned jobs) {
     runner::RunOptions opt;
     opt.jobs = jobs;
-    opt.use_cache = false;
     const auto runs = runner::run_sweep(workloads(), exps, opt);
     std::ostringstream os;
     write_summary_csv(os, runs);

@@ -169,16 +169,14 @@ class ObsIntegration : public ::testing::Test {
     std::vector<sys::RunResult> results;
   };
 
-  static SweepFiles observed_sweep(unsigned jobs) {
-    // The runner task span records cache_hit, so equal process state (an
-    // empty cache) is part of the byte-identical contract.
-    runner::clear_result_cache();
+  static SweepFiles observed_sweep(unsigned jobs,
+                                   const std::vector<runner::Experiment>& exps = experiments()) {
     obs::SweepObserver observer{/*want_trace=*/true, /*want_counters=*/true};
     runner::RunOptions opt;
     opt.jobs = jobs;
     opt.obs = &observer;
     SweepFiles out;
-    out.results = runner::run_sweep(set(), experiments(), opt);
+    out.results = runner::run_sweep(set(), exps, opt);
     std::ostringstream trace;
     observer.write_trace(trace);
     out.trace = trace.str();
@@ -196,16 +194,27 @@ TEST_F(ObsIntegration, TraceAndCountersByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.counters, wide.counters);
 }
 
+TEST_F(ObsIntegration, BackToBackSweepsWriteIdenticalFiles) {
+  // A traced sweep's files depend only on the sweep, not on what the
+  // process ran before it.  The experiments are ones no other test runs, so
+  // the first sweep is also the first time this process sees them.
+  std::vector<runner::Experiment> exps(2);
+  exps[0].workload = "kcore";
+  exps[1].workload = "bfs-ta";
+  for (auto& e : exps) e.config.scenario = sys::Scenario::kCoolPimHw;
+  const auto first = observed_sweep(2, exps);
+  const auto second = observed_sweep(2, exps);
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.counters, second.counters);
+}
+
 TEST_F(ObsIntegration, ObserverDoesNotPerturbResults) {
-  runner::clear_result_cache();
   runner::RunOptions plain;
   plain.jobs = 2;
-  plain.use_cache = false;
   const auto bare = runner::run_sweep(set(), experiments(), plain);
 
   obs::SweepObserver observer{true, true};
   runner::RunOptions observed = plain;
-  observed.use_cache = true;  // observed tasks bypass lookup anyway
   observed.obs = &observer;
   const auto traced = runner::run_sweep(set(), experiments(), observed);
 
@@ -222,7 +231,6 @@ TEST_F(ObsIntegration, ObserverDoesNotPerturbResults) {
     EXPECT_EQ(bare[i].cube_energy_j, traced[i].cube_energy_j);
     EXPECT_EQ(bare[i].shut_down, traced[i].shut_down);
   }
-  runner::clear_result_cache();
 }
 
 TEST_F(ObsIntegration, GoldenTraceSmoke) {
@@ -260,7 +268,6 @@ TEST_F(ObsIntegration, GoldenTraceSmoke) {
 }
 
 TEST_F(ObsIntegration, RunnerTaskSpanCarriesIdentity) {
-  runner::clear_result_cache();
   obs::SweepObserver observer{true, false};
   runner::RunOptions opt;
   opt.jobs = 1;
@@ -272,7 +279,6 @@ TEST_F(ObsIntegration, RunnerTaskSpanCarriesIdentity) {
   const std::string trace = os.str();
   EXPECT_NE(trace.find("\"name\":\"task\""), std::string::npos);
   EXPECT_NE(trace.find("\"workload\":\"dc\""), std::string::npos);
-  EXPECT_NE(trace.find("\"cache_hit\":false"), std::string::npos);
   // Key and seed render as 16-digit hex strings (JSON numbers would lose
   // precision past 2^53 in viewers).
   EXPECT_NE(trace.find("\"key\":\""), std::string::npos);

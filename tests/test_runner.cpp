@@ -1,5 +1,5 @@
 // Tests for the parallel experiment runner: pool mechanics, stable task
-// identity, the process-wide result cache, and the headline determinism
+// identity, run-to-run repeatability, and the headline determinism
 // property -- jobs=1 and jobs=8 sweeps are bit-identical.
 #include <gtest/gtest.h>
 
@@ -164,17 +164,14 @@ void expect_identical(const sys::RunResult& a, const sys::RunResult& b) {
 
 TEST_F(RunnerFixture, MatrixIsBitIdenticalAcrossJobCounts) {
   // The headline property: the full scenario matrix for two workloads gives
-  // field-for-field identical results at jobs=1 and jobs=8, with the cache
-  // disabled so both sweeps really execute every simulation.
+  // field-for-field identical results at jobs=1 and jobs=8.
   const std::vector<std::string> workloads{"dc", "pagerank"};
   const std::vector<sys::Scenario> scenarios{std::begin(sys::kAllScenarios),
                                              std::end(sys::kAllScenarios)};
   RunOptions serial;
   serial.jobs = 1;
-  serial.use_cache = false;
   RunOptions wide;
   wide.jobs = 8;
-  wide.use_cache = false;
 
   const auto a = run_matrix(set(), workloads, scenarios, {}, serial);
   const auto b = run_matrix(set(), workloads, scenarios, {}, wide);
@@ -202,7 +199,6 @@ TEST_F(RunnerFixture, SweepOrderIndependence) {
   std::vector<Experiment> backward{forward.rbegin(), forward.rend()};
   RunOptions opt;
   opt.jobs = 4;
-  opt.use_cache = false;
   const auto fwd = run_sweep(set(), forward, opt);
   const auto bwd = run_sweep(set(), backward, opt);
   ASSERT_EQ(fwd.size(), bwd.size());
@@ -211,15 +207,18 @@ TEST_F(RunnerFixture, SweepOrderIndependence) {
   }
 }
 
-TEST_F(RunnerFixture, RunSweepRejectsSweepBatchOtherThanOne) {
+TEST_F(RunnerFixture, RunOptionsAcceptOnlyTheirDefaults) {
   std::vector<Experiment> one(1);
   one[0].workload = "dc";
   for (const unsigned batch : {0u, 2u, 8u}) {
     RunOptions opt;
     opt.sweep_batch = batch;
-    opt.use_cache = false;
     EXPECT_THROW((void)run_sweep(set(), one, opt), ConfigError) << batch;
   }
+  RunOptions cached;
+  cached.use_cache = true;
+  EXPECT_THROW((void)run_sweep(set(), one, cached), ConfigError);
+  EXPECT_THROW((void)run_one(set(), "dc", sys::Scenario::kCoolPimHw, {}, cached), ConfigError);
 }
 
 TEST_F(RunnerFixture, SweepErrorNamesLowestFailingExperimentAtAnyJobs) {
@@ -239,7 +238,6 @@ TEST_F(RunnerFixture, SweepErrorNamesLowestFailingExperimentAtAnyJobs) {
   for (const unsigned jobs : {1u, 8u}) {
     RunOptions opt;
     opt.jobs = jobs;
-    opt.use_cache = false;
     try {
       (void)run_sweep(set(), exps, opt);
       ADD_FAILURE() << "sweep with failing experiments returned at jobs " << jobs;
@@ -256,37 +254,23 @@ TEST_F(RunnerFixture, SweepErrorNamesLowestFailingExperimentAtAnyJobs) {
   EXPECT_NE(messages[0].find("run exceeded max_time"), std::string::npos) << messages[0];
 }
 
-TEST_F(RunnerFixture, CacheServesRepeatRuns) {
-  clear_result_cache();
-  const auto first = run_one(set(), "dc", sys::Scenario::kCoolPimHw);
-  const auto after_first = cache_stats();
-  EXPECT_EQ(after_first.entries, 1u);
-  EXPECT_EQ(after_first.misses, 1u);
-  EXPECT_EQ(after_first.hits, 0u);
-
-  const auto second = run_one(set(), "dc", sys::Scenario::kCoolPimHw);
-  const auto after_second = cache_stats();
-  EXPECT_EQ(after_second.entries, 1u);
-  EXPECT_EQ(after_second.hits, 1u);
+TEST_F(RunnerFixture, RepeatRunsAreBitIdenticalAndConfigSensitive) {
+  // Nothing is memoized: each call runs its experiment, and two runs of the
+  // same experiment agree bit for bit while a tweaked config differs.  The
+  // warning threshold sits below dc's peak so the HW controller acts and its
+  // control factor matters.
+  sys::SystemConfig hot;
+  hot.policy.warning_threshold = Celsius{60.0};
+  const auto first = run_one(set(), "dc", sys::Scenario::kCoolPimHw, hot);
+  const auto second = run_one(set(), "dc", sys::Scenario::kCoolPimHw, hot);
   expect_identical(first, second);
+  ASSERT_GT(first.thermal_warnings, 0u);
 
-  // A different config must miss.
-  sys::SystemConfig tweaked;
+  sys::SystemConfig tweaked = hot;
   tweaked.hw_control_factor = 16;
-  (void)run_one(set(), "dc", sys::Scenario::kCoolPimHw, tweaked);
-  EXPECT_EQ(cache_stats().entries, 2u);
-  clear_result_cache();
-  EXPECT_EQ(cache_stats().entries, 0u);
-}
-
-TEST_F(RunnerFixture, CachedAndUncachedResultsAgree) {
-  clear_result_cache();
-  RunOptions uncached;
-  uncached.use_cache = false;
-  const auto direct = run_one(set(), "kcore", sys::Scenario::kNaiveOffloading, {}, uncached);
-  const auto via_cache = run_one(set(), "kcore", sys::Scenario::kNaiveOffloading);
-  expect_identical(direct, via_cache);
-  clear_result_cache();
+  const auto other = run_one(set(), "dc", sys::Scenario::kCoolPimHw, tweaked);
+  EXPECT_NE(other.exec_time, first.exec_time);
+  EXPECT_NE(other.avg_pim_rate_op_per_ns(), first.avg_pim_rate_op_per_ns());
 }
 
 }  // namespace

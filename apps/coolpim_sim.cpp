@@ -8,7 +8,7 @@
 //                         sssp-dtc|sssp-dwc|sssp-twc|cc|tc|all   (default dc)
 //     --scenario NAME     baseline|naive|coolpim-sw|coolpim-hw|ideal|
 //                         bw-throttle|mpc|policy-table|all
-//                         (or pick one policy for every run with --policy)
+//                         (or run the one scenario a --policy names)
 //     --cooling NAME      passive|low-end|commodity|high-end (default commodity)
 //     --cf N              control factor (blocks for SW, warps for HW)
 //     --target RATE       PIM-rate budget in op/ns      (default 1.3)
@@ -37,6 +37,7 @@
 #include "common/main.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
+#include "control/registry.hpp"
 #include "obs/observer.hpp"
 #include "runner/experiment.hpp"
 #include "sys/report.hpp"
@@ -119,6 +120,7 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
     if (i + 1 >= argc) usage("missing option value");
     return argv[++i];
   };
+  bool scenario_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") usage();
@@ -126,6 +128,7 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
       opt.workloads = parse_workloads(need_value(i));
     } else if (arg == "--scenario") {
       opt.scenarios = parse_scenarios(need_value(i));
+      scenario_given = true;
     } else if (arg == "--seed") {
       // Historical alias for --graph-seed.
       opt.rc.graph_seed = parse_u64("--seed", need_value(i).c_str());
@@ -146,6 +149,18 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
     } else {
       usage(("unknown option: " + arg).c_str());
     }
+  }
+  // A policy selects the scenario of every run, so it replaces the scenario
+  // list with its own one scenario; an explicit --scenario would be
+  // overwritten run by run.
+  if (!opt.rc.policy.empty()) {
+    if (scenario_given) {
+      throw ConfigError("--scenario and --policy / COOLPIM_POLICY both select the scenario; "
+                        "give one");
+    }
+    sys::Scenario s{};
+    COOLPIM_ASSERT(control::policy_from_name(opt.rc.policy, s));  // RunConfig checked the name
+    opt.scenarios = {s};
   }
   return opt;
 }

@@ -1,4 +1,4 @@
-// Extension: the six scenarios on the cc / tc workloads (GraphBIG members
+// Extension: every scenario on the cc / tc workloads (GraphBIG members
 // beyond the paper's evaluation set), demonstrating that CoolPIM generalizes
 // past the original ten kernels.
 #include <iostream>

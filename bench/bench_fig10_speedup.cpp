@@ -2,6 +2,7 @@
 // CoolPIM (SW), CoolPIM (HW) and the ideal-thermal scenario across the ten
 // GraphBIG workloads on the LDBC-like graph.
 #include <iostream>
+#include <iterator>
 
 #include "common/main.hpp"
 #include "common/table.hpp"
@@ -14,7 +15,8 @@ namespace {
 
 void print_fig10() {
   std::cout << "Building workload set (scale " << bench_scale()
-            << ", override with COOLPIM_SCALE) and running 10 workloads x 6 scenarios...\n";
+            << ", override with COOLPIM_SCALE) and running " << sys::workload_names().size()
+            << " workloads x " << std::size(sys::kAllScenarios) << " scenarios...\n";
   const auto& matrix = scenario_matrix();
 
   Table t{"Fig. 10 -- Speedup over the non-offloading baseline"};

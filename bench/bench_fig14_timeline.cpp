@@ -4,6 +4,7 @@
 // warning arrives early in the window, as in the paper.
 #include <cmath>
 #include <iostream>
+#include <string>
 
 #include "common/main.hpp"
 #include "common/table.hpp"
@@ -46,17 +47,17 @@ void print_fig14() {
   }
   t.print(std::cout);
 
-  auto first_warning_ms = [&](const sys::RunResult& r) {
+  auto first_warning = [&](const sys::RunResult& r) -> std::string {
     // The temperature trace crosses the warning threshold where throttling starts.
     for (std::size_t i = 0; i < r.dram_temp.size(); ++i) {
       if (r.dram_temp.value_at(i) > 84.5) {
-        return (r.dram_temp.time_at(i) - start).as_ms();
+        return "t=" + Table::num((r.dram_temp.time_at(i) - start).as_ms(), 2) + " ms";
       }
     }
-    return -1.0;
+    return "none";
   };
-  std::cout << "First thermal warning: naive t=" << Table::num(first_warning_ms(naive), 2)
-            << " ms (ignored); CoolPIM reacts and steps the PIM rate down, the software\n"
+  std::cout << "First thermal warning: naive " << first_warning(naive)
+            << " (ignored); CoolPIM reacts and steps the PIM rate down, the software\n"
                "method trailing the hardware one by well under the thermal response time\n"
                "(paper Section V-B.4: sub-millisecond difference in overall control delay).\n";
   std::cout << "Exec time: naive " << Table::num(naive.exec_time.as_ms(), 2) << " ms, SW "

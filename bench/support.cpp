@@ -88,6 +88,12 @@ void parse_args(int argc, char** argv) {
     throw ConfigError("unknown option: " + std::string{argv[1]} + "\naccepted flags:\n" +
                       sys::RunConfig::flags_help());
   }
+  // Each bench fixes the scenarios its table compares and would overwrite the
+  // policy's scenario, so a selection is rejected rather than ignored.
+  if (!rc.policy.empty()) {
+    throw ConfigError("--policy / COOLPIM_POLICY is not accepted: each bench runs the "
+                      "scenarios its table compares");
+  }
   obs_state().refresh();
 }
 

@@ -53,7 +53,8 @@ struct ScenarioRow {
 
 /// Bench command line: call first in main().  Overlays the RunConfig flags
 /// (--scale, --jobs, --trace FILE, --counters FILE, ...) onto the COOLPIM_*
-/// environment and throws ConfigError on any argument left over.  With a
+/// environment and throws ConfigError on any argument left over, and on a
+/// --policy / COOLPIM_POLICY selection (each bench fixes its scenarios).  With a
 /// trace or counter sink set, every experiment the bench runs is recorded
 /// and the files are written when the process exits.  Schema:
 /// docs/OBSERVABILITY.md.

@@ -5,7 +5,7 @@
 //
 //   $ ./prototype_campaign [passive|low-end|high-end|all]
 //
-// `all` replays the campaign for every sink concurrently on the work-stealing
+// `all` replays the campaign for every sink concurrently on the fork-join
 // pool (each replay owns its thermal model, so they are independent tasks)
 // and prints the reports in sink order.
 #include <algorithm>

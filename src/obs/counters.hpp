@@ -7,7 +7,7 @@
 //
 // Like StatSet, there is no global registry: each simulation run owns one
 // CounterRegistry (via obs::RunObserver) and the sweep writer aggregates
-// explicitly in task-submission order, which is what makes counter files
+// explicitly in experiment order, which is what makes counter files
 // byte-identical at any --jobs value.  Storage is node-based (std::map), so
 // references returned by counter()/gauge() stay valid for the registry's
 // lifetime and hot loops can look a name up once and keep the reference.

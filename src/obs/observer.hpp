@@ -1,10 +1,11 @@
 // Observation contexts: per-run and per-sweep bundles of trace + counters.
 //
 // A RunObserver is owned by exactly one simulation run (single-threaded, like
-// Logger/StatSet).  A SweepObserver owns one RunObserver per parallel-runner
-// task, allocated at *submission* time on the submitting thread, so worker
-// threads never share observation state and the merged output files are a
-// pure function of submission order -- byte-identical at any --jobs value.
+// StatSet).  A SweepObserver owns one RunObserver per parallel-runner task,
+// allocated in experiment order on the sweep's calling thread before any task
+// runs, so worker threads never share observation state and the merged output
+// files are a pure function of experiment order -- byte-identical at any
+// --jobs value.
 //
 // Output formats:
 //  * write_trace()        -- Chrome trace_event JSON (chrome://tracing,
@@ -36,10 +37,10 @@ struct RunObserver {
 };
 
 /// Sweep-level collector handed to runner::RunOptions::obs.  Thread-safety
-/// contract: add_task() is called from the submitting thread (the runner's
-/// submission loop is sequential); each TaskRecord is then touched only by
-/// the worker that runs the task; the write_* methods are called after the
-/// sweep completes.
+/// contract: add_task() is called from the sweep's calling thread, in
+/// experiment order, before the tasks are dispatched; each TaskRecord is then
+/// touched only by the worker that runs the task; the write_* methods are
+/// called after the sweep completes.
 class SweepObserver {
  public:
   struct TaskRecord {

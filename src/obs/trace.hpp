@@ -67,8 +67,8 @@ struct TraceEvent {
 
 /// Ordered event collector for one simulation run.  Single-threaded by
 /// design: each parallel-runner task owns its own buffer (the same ownership
-/// discipline as Logger/StatSet), and the sweep writer merges buffers in
-/// submission order so output is independent of scheduling.
+/// discipline as StatSet), and the sweep writer merges buffers in experiment
+/// order so output is independent of scheduling.
 class TraceBuffer {
  public:
   void begin(Time ts, std::string_view cat, std::string_view name, TraceArgs args = {});

@@ -83,8 +83,11 @@ std::string hex64(std::uint64_t v) {
 }
 
 /// The two fields the benchmark harness still assigns accept only their
-/// defaults.
+/// defaults; jobs has the pool's bound, checked here because the sweep
+/// sizes its pool to at most the experiment count.
 void check_options(const RunOptions& opt) {
+  COOLPIM_REQUIRE(opt.jobs <= Pool::kMaxJobs,
+                  "RunOptions::jobs must be at most " + std::to_string(Pool::kMaxJobs));
   COOLPIM_REQUIRE(opt.sweep_batch == 1, "RunOptions::sweep_batch must be 1");
   COOLPIM_REQUIRE(!opt.use_cache, "RunOptions::use_cache must be false");
 }
@@ -207,31 +210,34 @@ std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
                                       const std::vector<Experiment>& experiments,
                                       const RunOptions& opt) {
   check_options(opt);
-  std::vector<sys::RunResult> results(experiments.size());
+  const std::size_t n = experiments.size();
+  // Observer slots are allocated here, on the calling thread and in
+  // experiment order, so the merged output files do not depend on which
+  // thread runs which experiment.
+  std::vector<obs::SweepObserver::TaskRecord*> records(n, nullptr);
+  if (opt.obs != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      records[i] = opt.obs->add_task(experiments[i].workload,
+                                     std::string{sys::to_string(experiments[i].config.scenario)});
+    }
+  }
+  std::vector<sys::RunResult> results(n);
   // Failures land in per-experiment slots: the one rethrown is the lowest
   // index, not whichever finished first, so the error a sweep reports does
   // not depend on the jobs count.
-  std::vector<std::exception_ptr> errors(experiments.size());
-  Pool pool{opt.jobs};
-  for (std::size_t i = 0; i < experiments.size(); ++i) {
-    // Observer slots are allocated here, on the submitting thread, so the
-    // record order (and the merged output files) match submission order no
-    // matter how the pool schedules the tasks.
-    obs::SweepObserver::TaskRecord* rec = nullptr;
-    if (opt.obs != nullptr) {
-      rec = opt.obs->add_task(experiments[i].workload,
-                              std::string{sys::to_string(experiments[i].config.scenario)});
+  std::vector<std::exception_ptr> errors(n);
+  // No more participants than experiments: a one-experiment sweep spawns no
+  // thread.
+  const unsigned jobs = opt.jobs > 0 ? opt.jobs : Pool::default_jobs();
+  Pool pool{static_cast<unsigned>(std::clamp<std::size_t>(n, 1, jobs))};
+  pool.parallel_for(n, [&](std::size_t i) {
+    try {
+      results[i] = run_task(set, experiments[i], records[i]);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-    pool.submit([&set, &experiments, &results, &errors, i, rec] {
-      try {
-        results[i] = run_task(set, experiments[i], rec);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool.wait();
-  for (std::size_t i = 0; i < errors.size(); ++i) {
+  });
+  for (std::size_t i = 0; i < n; ++i) {
     if (errors[i]) rethrow_in_context(errors[i], experiments[i]);
   }
   return results;
@@ -269,16 +275,11 @@ std::vector<MatrixRow> run_matrix(const sys::WorkloadSet& set,
 sys::RunResult run_one(const sys::WorkloadSet& set, const std::string& workload,
                        sys::Scenario scenario, const sys::SystemConfig& base,
                        const RunOptions& opt) {
-  check_options(opt);
-  Experiment e;
-  e.workload = workload;
-  e.config = base;
-  e.config.scenario = scenario;
-  obs::SweepObserver::TaskRecord* rec = nullptr;
-  if (opt.obs != nullptr) {
-    rec = opt.obs->add_task(e.workload, std::string{sys::to_string(scenario)});
-  }
-  return run_task(set, e, rec);
+  std::vector<Experiment> one(1);
+  one[0].workload = workload;
+  one[0].config = base;
+  one[0].config.scenario = scenario;
+  return std::move(run_sweep(set, one, opt).front());
 }
 
 }  // namespace coolpim::runner

@@ -1,5 +1,5 @@
 // Parallel experiment API: run independent full-system simulations across a
-// work-stealing pool with deterministic, schedule-independent results.
+// fork-join pool with deterministic, schedule-independent results.
 //
 // Every task is identified by a stable 64-bit key -- an FNV-1a hash of the
 // workload-set identity (scale, graph seed), the workload name and every
@@ -43,8 +43,8 @@ struct RunOptions {
   /// Kept, like sweep_batch, only for the benchmark harness's assignment.
   bool use_cache{false};
   /// Sweep-level observability collector (nullptr = no recording).  Each
-  /// task gets its own RunObserver, allocated on the submitting thread in
-  /// submission order, so the merged trace/counter files are byte-identical
+  /// task gets its own RunObserver, allocated on the calling thread in
+  /// experiment order, so the merged trace/counter files are byte-identical
   /// at any jobs count.
   obs::SweepObserver* obs{nullptr};
 };
@@ -61,7 +61,9 @@ struct RunOptions {
 /// Per-task RNG seed from a task key (SplitMix64 finalizer over the key).
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t key);
 
-/// Run all experiments concurrently; results come back in experiment order.
+/// Run all experiments concurrently on a pool of at most experiments.size()
+/// participants; results come back in experiment order.  A failure is
+/// rethrown, with its experiment named, for the lowest failing index.
 [[nodiscard]] std::vector<sys::RunResult> run_sweep(const sys::WorkloadSet& set,
                                                     const std::vector<Experiment>& experiments,
                                                     const RunOptions& opt = {});
@@ -80,7 +82,7 @@ struct MatrixRow {
                                                 const sys::SystemConfig& base = {},
                                                 const RunOptions& opt = {});
 
-/// Single (workload, scenario) run through the same key/seed path.
+/// Single (workload, scenario) run: a one-experiment run_sweep.
 [[nodiscard]] sys::RunResult run_one(const sys::WorkloadSet& set, const std::string& workload,
                                      sys::Scenario scenario,
                                      const sys::SystemConfig& base = {},

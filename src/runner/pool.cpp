@@ -1,12 +1,45 @@
 #include "runner/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "common/parse.hpp"
 
 namespace coolpim::runner {
+
+/// One parallel_for call, on the caller's stack.  Workers reach it only
+/// between publication and retirement, both under the pool mutex.
+struct Pool::Batch {
+  Batch(const std::function<void(std::size_t)>& f, std::size_t count, std::size_t g)
+      : fn{f}, n{count}, grain{g} {}
+
+  const std::function<void(std::size_t)>& fn;
+  std::size_t n;
+  std::size_t grain;
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+
+  /// Claim and run chunks until none is left.
+  void run() {
+    for (;;) {
+      const std::size_t start = next.fetch_add(grain);
+      if (start >= n) return;
+      const std::size_t stop = std::min(n, start + grain);
+      for (std::size_t i = start; i < stop; ++i) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk{error_mu};
+          if (!error) error = std::current_exception();
+        }
+      }
+    }
+  }
+};
 
 unsigned Pool::default_jobs() {
   if (const char* env = std::getenv("COOLPIM_JOBS"); env != nullptr && *env != '\0') {
@@ -20,137 +53,58 @@ unsigned Pool::default_jobs() {
 Pool::Pool(unsigned jobs) : jobs_{jobs > 0 ? jobs : default_jobs()} {
   COOLPIM_REQUIRE(jobs_ <= kMaxJobs,
                   "pool jobs must be at most " + std::to_string(kMaxJobs));
-  queues_.reserve(jobs_);
-  for (unsigned i = 0; i < jobs_; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
-  // The calling thread is participant jobs_-1 (it drains queues in wait()),
-  // so only jobs_-1 dedicated workers are spawned; jobs=1 spawns none and
-  // runs everything on the caller.
   workers_.reserve(jobs_ - 1);
-  for (unsigned i = 0; i + 1 < jobs_; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  for (unsigned i = 0; i + 1 < jobs_; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 Pool::~Pool() {
   {
-    std::lock_guard<std::mutex> lk{state_mu_};
+    std::lock_guard<std::mutex> lk{mu_};
     shutdown_ = true;
   }
-  work_cv_.notify_all();
+  start_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void Pool::submit(std::function<void()> task) {
-  std::size_t target;
-  {
-    // Counters go up before the push: a worker that observes queued_ > 0 and
-    // finds nothing yet simply retries; the reverse order could let a worker
-    // claim the task before it is accounted for and underflow queued_.
-    std::lock_guard<std::mutex> lk{state_mu_};
-    target = next_queue_++ % jobs_;
-    ++pending_;
-    ++queued_;
-  }
-  {
-    std::lock_guard<std::mutex> qlk{queues_[target]->mu};
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-bool Pool::pop_or_steal(std::size_t self, std::function<void()>& out) {
-  // Own queue first, newest task (LIFO keeps caches warm) ...
-  {
-    auto& q = *queues_[self];
-    std::lock_guard<std::mutex> qlk{q.mu};
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.back());
-      q.tasks.pop_back();
-      return true;
-    }
-  }
-  // ... then steal the oldest task from the first non-empty victim.
-  for (std::size_t d = 1; d < jobs_; ++d) {
-    auto& q = *queues_[(self + d) % jobs_];
-    std::lock_guard<std::mutex> qlk{q.mu};
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void Pool::run_task(std::function<void()>& task) {
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lk{state_mu_};
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lk{state_mu_};
-    drained = --pending_ == 0;
-  }
-  if (drained) idle_cv_.notify_all();
-}
-
-bool Pool::try_run_one(std::size_t self) {
-  std::function<void()> task;
-  if (!pop_or_steal(self, task)) return false;
-  {
-    std::lock_guard<std::mutex> lk{state_mu_};
-    --queued_;
-  }
-  run_task(task);
-  return true;
-}
-
-void Pool::worker_loop(std::size_t self) {
+void Pool::worker_loop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lk{mu_};
   for (;;) {
-    if (try_run_one(self)) continue;
-    std::unique_lock<std::mutex> lk{state_mu_};
-    work_cv_.wait(lk, [this] { return shutdown_ || queued_ > 0; });
-    if (shutdown_ && queued_ == 0) return;
-  }
-}
-
-void Pool::wait() {
-  const std::size_t self = jobs_ - 1;
-  for (;;) {
-    while (try_run_one(self)) {
-    }
-    std::unique_lock<std::mutex> lk{state_mu_};
-    if (queued_ > 0) continue;  // a task was submitted between drain and lock
-    idle_cv_.wait(lk, [this] { return pending_ == 0 || queued_ > 0; });
-    if (pending_ == 0) {
-      std::exception_ptr err;
-      std::swap(err, first_error_);
-      lk.unlock();
-      if (err) std::rethrow_exception(err);
-      return;
-    }
+    start_cv_.wait(lk, [&] { return shutdown_ || (batch_ != nullptr && generation_ != seen); });
+    if (shutdown_) return;
+    seen = generation_;
+    Batch& batch = *batch_;
+    ++active_;
+    lk.unlock();
+    batch.run();
+    lk.lock();
+    if (--active_ == 0) done_cv_.notify_one();
   }
 }
 
 void Pool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                         std::size_t grain) {
   if (grain == 0) grain = std::max<std::size_t>(1, n / (std::size_t{4} * jobs_));
-  if (grain <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      submit([&fn, i] { fn(i); });
+  Batch batch{fn, n, grain};
+  // A batch of one chunk, or a pool without workers, runs on the caller.
+  const bool fan_out = !workers_.empty() && n > grain;
+  if (fan_out) {
+    {
+      std::lock_guard<std::mutex> lk{mu_};
+      batch_ = &batch;
+      ++generation_;
     }
-  } else {
-    for (std::size_t start = 0; start < n; start += grain) {
-      const std::size_t stop = std::min(n, start + grain);
-      submit([&fn, start, stop] {
-        for (std::size_t i = start; i < stop; ++i) fn(i);
-      });
-    }
+    start_cv_.notify_all();
   }
-  wait();
+  batch.run();
+  if (fan_out) {
+    // Every chunk is claimed once the caller's run() returns; close the batch
+    // to late joiners, then wait for the workers still running a claim.
+    std::unique_lock<std::mutex> lk{mu_};
+    batch_ = nullptr;
+    done_cv_.wait(lk, [this] { return active_ == 0; });
+  }
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 }  // namespace coolpim::runner

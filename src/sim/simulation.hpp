@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/units.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -23,7 +22,6 @@ class Simulation {
   Simulation() = default;
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] Logger& logger() { return logger_; }
 
   /// Attach observability (docs/OBSERVABILITY.md): a span per dispatched
   /// event plus a queue-depth counter sample, category "sim".  Both hooks are
@@ -63,7 +61,6 @@ class Simulation {
   Time now_{Time::zero()};
   bool stop_requested_{false};
   std::uint64_t events_processed_{0};
-  Logger logger_;
   obs::Trace trace_;
   obs::CounterRegistry* counters_{nullptr};
 };

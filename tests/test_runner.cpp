@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <iterator>
 #include <numeric>
 #include <set>
@@ -18,12 +19,14 @@
 namespace coolpim::runner {
 namespace {
 
-TEST(PoolTest, RunsEverySubmittedTask) {
+TEST(PoolTest, RunsEveryIndexOnceAtAnyGrain) {
   Pool pool{4};
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { count.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
+  constexpr std::size_t n = 100;
+  for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{7}, n}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); }, grain);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << grain << " " << i;
+  }
 }
 
 TEST(PoolTest, ParallelForCoversEveryIndexOnce) {
@@ -33,33 +36,71 @@ TEST(PoolTest, ParallelForCoversEveryIndexOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(PoolTest, WaitIsReusable) {
+TEST(PoolTest, ParallelForIsReusable) {
   Pool pool{3};
   std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait();
-  pool.submit([&] { count.fetch_add(1); });
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
+  pool.parallel_for(5, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for(7, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for(0, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 12);
 }
 
 TEST(PoolTest, SingleJobRunsOnTheCallingThread) {
   Pool pool{1};
   std::set<std::thread::id> ids;
-  for (int i = 0; i < 8; ++i) pool.submit([&] { ids.insert(std::this_thread::get_id()); });
-  pool.wait();
+  pool.parallel_for(8, [&](std::size_t) { ids.insert(std::this_thread::get_id()); });
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
 }
 
-TEST(PoolTest, FirstTaskExceptionPropagatesFromWait) {
+TEST(PoolTest, FirstExceptionPropagatesAfterEveryIndexRuns) {
+  // One failure cancels nothing, at any grain, and the pool stays usable.
   Pool pool{4};
-  std::atomic<int> survivors{0};
-  pool.submit([] { throw ConfigError("boom"); });
-  for (int i = 0; i < 10; ++i) pool.submit([&] { survivors.fetch_add(1); });
-  EXPECT_THROW(pool.wait(), ConfigError);
-  EXPECT_EQ(survivors.load(), 10);  // one failure does not cancel the sweep
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{7}}) {
+    std::atomic<int> survivors{0};
+    EXPECT_THROW(pool.parallel_for(
+                     11,
+                     [&](std::size_t i) {
+                       if (i == 0) throw ConfigError("boom");
+                       survivors.fetch_add(1);
+                     },
+                     grain),
+                 ConfigError);
+    EXPECT_EQ(survivors.load(), 10) << grain;
+  }
+  std::vector<std::atomic<int>> hits(64);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(PoolTest, ManySmallBatchesBackToBack) {
+  // The fleet's shape: thousands of tiny per-epoch batches at auto grain,
+  // one of which throws midway; every other batch completes in full.
+  Pool pool{4};
+  constexpr std::size_t kBatches = 4000;
+  constexpr std::size_t kWidth = 8;
+  constexpr std::size_t kThrowing = kBatches / 2;
+  std::vector<std::uint64_t> sums(kWidth, 0);
+  std::size_t thrown = 0;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    try {
+      pool.parallel_for(
+          kWidth,
+          [&](std::size_t i) {
+            if (b == kThrowing && i == 3) throw ConfigError("mid-run failure");
+            sums[i] += b;  // each index is owned by one participant per batch
+          },
+          0);
+    } catch (const ConfigError&) {
+      ++thrown;
+      EXPECT_EQ(b, kThrowing);
+    }
+  }
+  EXPECT_EQ(thrown, 1u);
+  const std::uint64_t all = kBatches * (kBatches - 1) / 2;
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    EXPECT_EQ(sums[i], i == 3 ? all - kThrowing : all) << i;
+  }
 }
 
 TEST(PoolTest, DefaultJobsHonoursEnvironment) {
@@ -252,6 +293,22 @@ TEST_F(RunnerFixture, SweepErrorNamesLowestFailingExperimentAtAnyJobs) {
       ": ";
   EXPECT_EQ(messages[0].rfind(want_prefix, 0), 0u) << messages[0];
   EXPECT_NE(messages[0].find("run exceeded max_time"), std::string::npos) << messages[0];
+}
+
+TEST_F(RunnerFixture, RunOneErrorNamesItsExperiment) {
+  // run_one is a one-experiment sweep, so its failures carry the same
+  // "experiment <workload> under <scenario>: " prefix as run_sweep's.
+  sys::SystemConfig cfg;
+  cfg.max_time = Time::ns(1);
+  try {
+    (void)run_one(set(), "kcore", sys::Scenario::kCoolPimHw, cfg);
+    ADD_FAILURE() << "run_one past max_time returned";
+  } catch (const ConfigError& e) {
+    const std::string want =
+        "config: experiment kcore under " +
+        std::string{sys::to_string(sys::Scenario::kCoolPimHw)} + ": ";
+    EXPECT_EQ(std::string{e.what()}.rfind(want, 0), 0u) << e.what();
+  }
 }
 
 TEST_F(RunnerFixture, RepeatRunsAreBitIdenticalAndConfigSensitive) {

@@ -1,4 +1,4 @@
-// Development smoke test: run a few workloads through all six scenarios and
+// Development smoke test: run a few workloads through every scenario and
 // print Fig. 10/12/13-style numbers for calibration.
 #include <cstdio>
 
